@@ -7,14 +7,11 @@
 //!
 //! Usage:
 //!   cargo run --release -p dcdo-bench --bin dcdo-inspect -- \
-//!       [vm] <workload> [seed] [--out PREFIX] [--threads N]
+//!       [vm] <workload> [seed] [--out PREFIX]
 //!
 //! Workloads: reconfig, reconfig_faulted, crash_during_reconfig,
 //! rolling_partition, restart_storm. Seed defaults to 42; output defaults
-//! to BENCH_profile.json / BENCH_profile.prom. `--threads N` runs the
-//! simulation on the sharded parallel engine with N workers — the report
-//! (and the exported JSON) is byte-identical at any thread count, which
-//! makes the flag a handy determinism spot-check on real workloads.
+//! to BENCH_profile.json / BENCH_profile.prom.
 //!
 //! The `vm` subcommand (`dcdo-inspect vm <workload> …`) runs the same
 //! scenario and then reports the VM's view of it: the per-function cost
@@ -24,14 +21,14 @@
 //! writes `PREFIX.vm.json`.
 //!
 //! The `scenarios` subcommand lists every declared scenario; `scenario
-//! <name|file.scn|all> [seed] [--threads N] [--out FILE]` runs declared
+//! <name|file.scn|all> [seed] [--out FILE]` runs declared
 //! scenarios (or a `.scn` file) through the `dcdo-scenario` runner, prints
 //! each verdict table, and writes the deterministic per-run JSON reports to
 //! `BENCH_scenarios.json`. The process exits nonzero if any expectation
 //! fails, so CI can gate on declared behavior.
 //!
-//! The `epochs` subcommand (`dcdo-inspect epochs <name|file.scn> [seed]
-//! [--threads N]`) runs one scenario and renders the group-epoch timeline
+//! The `epochs` subcommand (`dcdo-inspect epochs <name|file.scn> [seed]`)
+//! runs one scenario and renders the group-epoch timeline
 //! reconstructed from its span log: every proposal, commit, and replica
 //! adoption in deterministic log order — the observability view of the
 //! epoch-based reconfiguration protocol.
@@ -41,8 +38,8 @@
 //! series) as deterministic JSON and Prometheus text; `flight` runs one
 //! scenario and renders the tail-sampled flight-recorder dump — the causal
 //! span trees of every aborted, invariant-violating, or slowest-percentile
-//! flow. Both honor the uniform `--threads N` / `--out FILE` flags every
-//! subcommand shares, and both exit nonzero if the scenario fails.
+//! flow. Both honor the `--out FILE` flag every subcommand shares, and
+//! both exit nonzero if the scenario fails.
 
 use dcdo_profile::{CriticalPath, ProfileReport};
 use dcdo_vm::{FusionStats, VmProfile, OPCODE_NAMES};
@@ -57,12 +54,12 @@ const WORKLOADS: &[&str] = &[
 ];
 
 fn usage() -> ! {
-    eprintln!("usage: dcdo-inspect [vm] <workload> [seed] [--out PREFIX] [--threads N]");
+    eprintln!("usage: dcdo-inspect [vm] <workload> [seed] [--out PREFIX]");
     eprintln!("       dcdo-inspect scenarios");
-    eprintln!("       dcdo-inspect scenario <name|file.scn|all> [seed] [--threads N] [--out FILE]");
-    eprintln!("       dcdo-inspect epochs <name|file.scn> [seed] [--threads N]");
-    eprintln!("       dcdo-inspect timeline <name|file.scn> [seed] [--threads N] [--out FILE]");
-    eprintln!("       dcdo-inspect flight <name|file.scn> [seed] [--threads N] [--out FILE]");
+    eprintln!("       dcdo-inspect scenario <name|file.scn|all> [seed] [--out FILE]");
+    eprintln!("       dcdo-inspect epochs <name|file.scn> [seed]");
+    eprintln!("       dcdo-inspect timeline <name|file.scn> [seed] [--out FILE]");
+    eprintln!("       dcdo-inspect flight <name|file.scn> [seed] [--out FILE]");
     eprintln!("workloads: {}", WORKLOADS.join(", "));
     eprintln!("vm: print the VM per-function/per-opcode cost tables and");
     eprintln!("    superinstruction coverage for the scenario");
@@ -75,27 +72,23 @@ fn usage() -> ! {
     eprintln!("    as deterministic JSON (+ Prometheus text alongside)");
     eprintln!("flight: run one scenario and render the tail-sampled");
     eprintln!("    flight-recorder dump (aborted/violating/slowest flows)");
-    eprintln!("every subcommand accepts --threads N and --out FILE uniformly");
+    eprintln!("every subcommand accepts --out FILE uniformly");
     std::process::exit(2);
 }
 
 /// The command-line tail every subcommand shares: positional arguments
-/// plus the uniform `--out FILE` / `--threads N` flags.
+/// plus the uniform `--out FILE` flag.
 struct Cli {
     positionals: Vec<String>,
     out: Option<String>,
-    threads: Option<u32>,
 }
 
-/// Parses the shared flag set. `--threads` is also installed as the
-/// process-wide default because several workloads build their simulations
-/// internally; worlds the scenario runner builds get it passed explicitly
-/// as well. Unknown flags exit with the usage text (status 2).
+/// Parses the shared flag set. Unknown flags exit with the usage text
+/// (status 2).
 fn parse_cli(args: &[String]) -> Cli {
     let mut cli = Cli {
         positionals: Vec::new(),
         out: None,
-        threads: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -103,15 +96,6 @@ fn parse_cli(args: &[String]) -> Cli {
             "--out" => {
                 i += 1;
                 cli.out = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--threads" => {
-                i += 1;
-                let n: u32 = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                dcdo_sim::set_default_threads(n);
-                cli.threads = Some(n);
             }
             "--help" | "-h" => usage(),
             a if a.starts_with("--") => usage(),
@@ -218,7 +202,7 @@ fn run_scenarios(args: &[String]) {
     let mut reports = Vec::new();
     for scenario in scenarios {
         let name = scenario.name.clone();
-        match dcdo_scenario::run_artifacts(scenario, cli.threads) {
+        match dcdo_scenario::run_artifacts(scenario, None) {
             Ok(artifacts) => {
                 print!("{}", artifacts.report.render());
                 all_passed &= artifacts.report.passed;
@@ -271,7 +255,7 @@ fn run_epochs(args: &[String]) {
     let cli = parse_cli(args);
     let scenario = single_scenario("epochs", &cli);
     let name = scenario.name.clone();
-    match dcdo_scenario::run_with_spans(scenario, cli.threads) {
+    match dcdo_scenario::run_with_spans(scenario) {
         Ok((report, spans)) => {
             let rows = dcdo_group::epoch_timeline(&spans);
             println!(
@@ -304,7 +288,7 @@ fn run_timeline(args: &[String]) {
     let cli = parse_cli(args);
     let scenario = single_scenario("timeline", &cli);
     let name = scenario.name.clone();
-    match dcdo_scenario::run_artifacts(scenario, cli.threads) {
+    match dcdo_scenario::run_artifacts(scenario, None) {
         Ok(artifacts) => {
             let r = &artifacts.report;
             println!(
@@ -336,7 +320,7 @@ fn run_flight(args: &[String]) {
     let cli = parse_cli(args);
     let scenario = single_scenario("flight", &cli);
     let name = scenario.name.clone();
-    match dcdo_scenario::run_artifacts(scenario, cli.threads) {
+    match dcdo_scenario::run_artifacts(scenario, None) {
         Ok(artifacts) => {
             let r = &artifacts.report;
             let Some(flight) = &artifacts.flight else {
@@ -691,10 +675,7 @@ fn main() {
         usage();
     }
 
-    match cli.threads {
-        Some(n) => println!("workload {workload}, seed {seed}, {n} worker thread(s)"),
-        None => println!("workload {workload}, seed {seed}"),
-    }
+    println!("workload {workload}, seed {seed}");
     if vm_mode {
         // Scope the process-wide VM aggregates to this scenario.
         dcdo_vm::reset_global_vm_profile();

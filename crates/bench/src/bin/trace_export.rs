@@ -29,23 +29,4 @@ fn main() {
         sim.spans().len(),
         sim.spans().digest()
     );
-
-    // Second digest line: the wide fan-out on the centurion network — the
-    // shape that actually engages the sharded runner when DCDO_SIM_THREADS
-    // is set, so CI can diff sequential vs parallel digests (the fan_out
-    // line above covers the instant-network sequential-fallback path).
-    let (mut wide, wide_budget) = simbench::fan_out_wide_sim(12, 48, 16);
-    wide.spans_mut().enable();
-    wide.run_with_budget(wide_budget);
-    wide.run_until_idle();
-    let violations = dcdo_sim::check_trace_invariants(wide.spans());
-    for v in &violations {
-        eprintln!("trace invariant violated: {v}");
-    }
-    assert!(violations.is_empty(), "fan_out_wide trace must be clean");
-    println!(
-        "fan_out_wide: {} spans, digest {:016x}",
-        wide.spans().len(),
-        wide.spans().digest()
-    );
 }

@@ -21,6 +21,16 @@ pub enum ScenarioError {
         /// The offending scenario's name.
         scenario: String,
     },
+    /// The topology declares more nodes than one simulation can address
+    /// (node ids must stay below `dcdo_sim::MAX_NODES`).
+    TooManyNodes {
+        /// The offending scenario's name.
+        scenario: String,
+        /// The declared node count.
+        nodes: u32,
+        /// The engine's node limit.
+        limit: u32,
+    },
     /// The scenario declares no workloads at all, so the run window would
     /// drive nothing.
     NoWorkloads {
@@ -110,6 +120,14 @@ impl fmt::Display for ScenarioError {
             ScenarioError::NoNodes { scenario } => {
                 write!(f, "scenario {scenario:?}: topology declares zero nodes")
             }
+            ScenarioError::TooManyNodes {
+                scenario,
+                nodes,
+                limit,
+            } => write!(
+                f,
+                "scenario {scenario:?}: topology declares {nodes} nodes, above the engine limit of {limit}"
+            ),
             ScenarioError::NoWorkloads { scenario } => {
                 write!(f, "scenario {scenario:?}: no workloads declared")
             }

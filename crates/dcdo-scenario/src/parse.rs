@@ -235,12 +235,18 @@ fn parse_window(line: usize, token: &str) -> Result<Window, ScenarioError> {
 }
 
 /// Parses decimal seconds (millisecond resolution) into a [`SimDuration`].
+/// Returns `None` for negative or non-finite values and for durations
+/// whose nanosecond count does not fit a `u64` (about 584 years).
 pub fn parse_secs(s: &str) -> Option<SimDuration> {
     let secs: f64 = s.parse().ok()?;
     if !secs.is_finite() || secs < 0.0 {
         return None;
     }
-    Some(SimDuration::from_millis((secs * 1000.0).round() as u64))
+    let millis = (secs * 1000.0).round();
+    if millis > (u64::MAX / 1_000_000) as f64 {
+        return None;
+    }
+    Some(SimDuration::from_millis(millis as u64))
 }
 
 /// Parses the `chaos` workload's argument tokens into a controller node

@@ -11,7 +11,7 @@
 //! 6. Drive the window: timed runs let timers and chaos plans supply the
 //!    traffic; tick windows draw one workload per tick by a weighted draw
 //!    from the engine's per-lane deterministic RNG stream, so the mix a
-//!    seed produces is byte-identical at every worker-thread count;
+//!    seed produces is fixed by the seed;
 //!    episode windows run each workload's episode hook once.
 //! 7. Drain the queue, `measure` every workload, `judge` every
 //!    expectation, and assemble the [`ScenarioReport`].
@@ -29,8 +29,7 @@ pub const FLIGHT_SLOW_QUANTILE: f64 = 0.95;
 
 /// Everything a scenario run produces beyond the pass/fail report: the raw
 /// span log, the windowed-telemetry exports, and the flight-recorder dump.
-/// All of it is deterministic — byte-identical at every worker-thread
-/// count and across build profiles.
+/// All of it is deterministic — byte-identical across build profiles.
 #[derive(Debug)]
 pub struct RunArtifacts {
     /// The pass/fail report (same value [`run`] returns).
@@ -49,47 +48,35 @@ pub struct RunArtifacts {
     pub slo_breached: bool,
 }
 
-/// Runs `scenario` to completion at the process-default thread count.
+/// Runs `scenario` to completion.
 pub fn run(scenario: Scenario) -> Result<ScenarioReport, ScenarioError> {
-    run_with_threads(scenario, None)
+    run_inner(scenario).map(|a| a.report)
 }
 
-/// Runs `scenario` with an explicit worker-thread count for the world the
-/// runner builds (`None` keeps the process default). Episode workloads
-/// build their own simulations, which honor the process default
-/// (`DCDO_SIM_THREADS` / `dcdo_sim::set_default_threads`) instead.
-pub fn run_with_threads(
-    scenario: Scenario,
-    threads: Option<u32>,
-) -> Result<ScenarioReport, ScenarioError> {
-    run_inner(scenario, threads).map(|a| a.report)
-}
-
-/// Like [`run_with_threads`], but also returns the run's span log — the
-/// raw material for post-hoc analyses like the epoch timeline
-/// (`dcdo-inspect epochs`).
+/// Like [`run`], but also returns the run's span log — the raw material
+/// for post-hoc analyses like the epoch timeline (`dcdo-inspect epochs`).
 pub fn run_with_spans(
     scenario: Scenario,
-    threads: Option<u32>,
-) -> Result<(ScenarioReport, Vec<dcdo_sim::SpanEvent>), ScenarioError> {
-    run_inner(scenario, threads).map(|a| (a.report, a.spans))
+) -> Result<(ScenarioReport, Vec<SpanEvent>), ScenarioError> {
+    run_inner(scenario).map(|a| (a.report, a.spans))
 }
 
-/// Like [`run_with_threads`], but returns the full [`RunArtifacts`]:
-/// report, span log, timeline exports, and flight-recorder dump.
+/// Like [`run`], but returns the full [`RunArtifacts`]: report, span log,
+/// timeline exports, and flight-recorder dump. The second argument is
+/// ignored: the engine is sequential.
 pub fn run_artifacts(
     scenario: Scenario,
-    threads: Option<u32>,
+    // Kept only because `hostbench/` still passes it; remove it with that call.
+    _threads: Option<u32>,
 ) -> Result<RunArtifacts, ScenarioError> {
-    run_inner(scenario, threads)
+    run_inner(scenario)
 }
 
 /// Derives the windowed series the SLO watchdogs judge from the span log:
 /// flow latencies and outcomes (`lat.flow`, `ok.flow`, `err.flow`), RPC
 /// latencies keyed off each call's first attempt (`lat.rpc`, `ok.rpc`,
 /// `err.rpc`), and served calls (`served`). A pure function of the span
-/// log — which is byte-identical at every worker-thread count — written
-/// into the engine's timeline so bucketing matches the hot-path stats.
+/// log, written into the engine's timeline so bucketing matches the hot-path stats.
 fn derive_windowed_series(cx: &mut RunCx) {
     use std::collections::BTreeMap;
     let Some(sim) = cx.world.sim() else { return };
@@ -144,13 +131,10 @@ fn derive_windowed_series(cx: &mut RunCx) {
     timeline.flush();
 }
 
-fn run_inner(mut scenario: Scenario, threads: Option<u32>) -> Result<RunArtifacts, ScenarioError> {
+fn run_inner(mut scenario: Scenario) -> Result<RunArtifacts, ScenarioError> {
     scenario.validate()?;
     let mut cx = RunCx::new(scenario.seed, scenario.topology.build(scenario.seed));
     if let Some(sim) = cx.world.sim_mut() {
-        if let Some(n) = threads {
-            sim.set_threads(n);
-        }
         sim.trace_mut().enable(1 << 18);
         sim.spans_mut().enable();
     }
@@ -170,10 +154,9 @@ fn run_inner(mut scenario: Scenario, threads: Option<u32>) -> Result<RunArtifact
         }
         Window::Ticks(n) => {
             // Weighted selection draws from the lane of the service's
-            // client node (falling back to node 0's lane): per-lane RNG
-            // streams are the engine's determinism backbone, so the draw
-            // sequence — and therefore the traffic mix — is identical
-            // whether the run is sequential or sharded.
+            // client node (falling back to node 0's lane), so the draw
+            // sequence — and therefore the traffic mix — is fixed by the
+            // seed and that lane's own activity.
             let lane_node = cx
                 .service
                 .map(|s| s.client_node)

@@ -1,7 +1,7 @@
 //! The scenario: a topology, a weighted workload mix, expectations, and a
 //! run window, validated as a whole before anything is built.
 
-use dcdo_sim::SimDuration;
+use dcdo_sim::{SimDuration, MAX_NODES};
 
 use crate::error::ScenarioError;
 use crate::expect::Expectation;
@@ -105,6 +105,13 @@ impl Scenario {
         if self.topology.nodes == 0 {
             return Err(ScenarioError::NoNodes {
                 scenario: self.name.clone(),
+            });
+        }
+        if self.topology.nodes > MAX_NODES {
+            return Err(ScenarioError::TooManyNodes {
+                scenario: self.name.clone(),
+                nodes: self.topology.nodes,
+                limit: MAX_NODES,
             });
         }
         if self.workloads.is_empty() {

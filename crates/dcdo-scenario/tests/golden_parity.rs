@@ -11,11 +11,127 @@
 //! must agree trivially but still guard the wiring.
 
 use dcdo_chaos::trace_hash;
-use dcdo_scenario::{registry, run, run_with_threads, Scenario};
+use dcdo_scenario::{registry, run, Scenario};
 use dcdo_workloads::{chaos, reconfig, simbench};
 
 fn declared(name: &str) -> Scenario {
     registry::load_declared(name).expect("declared scenario exists")
+}
+
+/// One declared scenario's fixed oracle values at its declared seed.
+struct Pin {
+    name: &'static str,
+    trace_hash: u64,
+    span_digest: u64,
+    flight_digest: u64,
+    events_processed: u64,
+}
+
+/// Literal oracle values for every declared scenario. They were recorded
+/// from `dcdo-inspect scenario all` and must never move: any change to
+/// event order, span emission or flight-recorder contents shows up here
+/// as a differing literal, independently of the hand-coded drivers.
+const PINS: &[Pin] = &[
+    Pin {
+        name: "mixed_traffic",
+        trace_hash: 0x97687be6a1494396,
+        span_digest: 0x6ee60657563181a8,
+        flight_digest: 0x7b08709876c59d54,
+        events_processed: 1875,
+    },
+    Pin {
+        name: "reconfig",
+        trace_hash: 0x29fa196e3360438b,
+        span_digest: 0xa548be305c9ba2da,
+        flight_digest: 0xf83a6d21f8a990a0,
+        events_processed: 93,
+    },
+    Pin {
+        name: "crash_during_reconfig",
+        trace_hash: 0x0f17e97b9d821bdf,
+        span_digest: 0xd742f2dfbc9abd22,
+        flight_digest: 0xc752d67d8fe0994c,
+        events_processed: 146,
+    },
+    Pin {
+        name: "rolling_partition",
+        trace_hash: 0xfdaf5b5403d416ae,
+        span_digest: 0x9cbe6dd0a44785ac,
+        flight_digest: 0x0c13b226bf71d2df,
+        events_processed: 1584,
+    },
+    Pin {
+        name: "restart_storm",
+        trace_hash: 0x7b18a8a92da4351a,
+        span_digest: 0xf7adc191d0a5bcf0,
+        flight_digest: 0xabb1f839fed9fc19,
+        events_processed: 647,
+    },
+    Pin {
+        name: "rolling_upgrade",
+        trace_hash: 0x13fd7cec809667ec,
+        span_digest: 0x31dccea7ee3ffe8e,
+        flight_digest: 0xe329742dd5d993f1,
+        events_processed: 3090,
+    },
+    Pin {
+        name: "rolling_upgrade_coord_crash",
+        trace_hash: 0xa670a023a5f2a1fd,
+        span_digest: 0x799d35a89be21205,
+        flight_digest: 0xe9dda8e1b2eab75e,
+        events_processed: 3071,
+    },
+    Pin {
+        name: "ping_pong",
+        trace_hash: 0x9990adecabac00c9,
+        span_digest: 0xab5fa64ab00e8bab,
+        flight_digest: 0x931da280a3fccabb,
+        events_processed: 401,
+    },
+    Pin {
+        name: "fan_out",
+        trace_hash: 0x65ec887181647a8b,
+        span_digest: 0x1c51ef636564bb0c,
+        flight_digest: 0xab7ec23acd3a80e5,
+        events_processed: 321,
+    },
+    Pin {
+        name: "transfer_heavy",
+        trace_hash: 0xef5b6b871ab6b8c4,
+        span_digest: 0xa56a7375c5ac120d,
+        flight_digest: 0xda9d6338deeb08c9,
+        events_processed: 49,
+    },
+];
+
+#[test]
+fn every_declared_scenario_matches_its_literal_pins() {
+    let declared_names: Vec<&str> = registry::declared().iter().map(|(name, _)| *name).collect();
+    let pinned_names: Vec<&str> = PINS.iter().map(|pin| pin.name).collect();
+    assert_eq!(
+        pinned_names, declared_names,
+        "every declared scenario is pinned, in order"
+    );
+    for pin in PINS {
+        let report = run(declared(pin.name)).expect("valid scenario");
+        let got = (
+            report.trace_hash,
+            report.span_digest,
+            report.flight_digest,
+            report.events_processed,
+        );
+        let want = (
+            pin.trace_hash,
+            pin.span_digest,
+            pin.flight_digest,
+            pin.events_processed,
+        );
+        assert_eq!(
+            got, want,
+            "{}: (trace_hash, span_digest, flight_digest, events)",
+            pin.name
+        );
+    }
 }
 
 #[test]
@@ -29,17 +145,6 @@ fn rolling_partition_matches_hand_coded_driver() {
 }
 
 #[test]
-fn rolling_partition_parity_holds_at_four_threads() {
-    let direct = chaos::rolling_partition(42);
-    let report = run_with_threads(declared("rolling_partition"), Some(4)).expect("valid");
-    assert_eq!(
-        report.trace_hash, direct.trace_hash,
-        "sharded scenario run diverged from sequential hand-coded driver"
-    );
-    assert_eq!(report.span_digest, direct.span_digest);
-}
-
-#[test]
 fn restart_storm_matches_hand_coded_driver() {
     let direct = chaos::restart_storm(42);
     let report = run(declared("restart_storm")).expect("valid scenario");
@@ -47,14 +152,6 @@ fn restart_storm_matches_hand_coded_driver() {
     assert_eq!(report.span_digest, direct.span_digest, "spans diverged");
     assert_eq!(report.leaked_events, direct.leaked_events);
     assert!(report.passed, "{}", report.render());
-}
-
-#[test]
-fn restart_storm_parity_holds_at_four_threads() {
-    let direct = chaos::restart_storm(42);
-    let report = run_with_threads(declared("restart_storm"), Some(4)).expect("valid");
-    assert_eq!(report.trace_hash, direct.trace_hash);
-    assert_eq!(report.span_digest, direct.span_digest);
 }
 
 #[test]
@@ -136,30 +233,4 @@ fn every_declared_scenario_loads_validates_and_passes() {
         assert_eq!(report.leaked_events, 0, "{name} leaked events");
         assert_eq!(report.trace_violations, 0, "{name} violated invariants");
     }
-}
-
-#[test]
-fn rolling_upgrade_parity_holds_at_four_threads() {
-    let seq = run(declared("rolling_upgrade")).expect("valid scenario");
-    assert!(seq.passed, "{}", seq.render());
-    let par = run_with_threads(declared("rolling_upgrade"), Some(4)).expect("valid");
-    assert_eq!(par.trace_hash, seq.trace_hash, "sharded run diverged");
-    assert_eq!(par.span_digest, seq.span_digest);
-    assert_eq!(
-        par.counters, seq.counters,
-        "counters diverged across threads"
-    );
-}
-
-#[test]
-fn rolling_upgrade_coord_crash_parity_holds_at_four_threads() {
-    let seq = run(declared("rolling_upgrade_coord_crash")).expect("valid scenario");
-    assert!(seq.passed, "{}", seq.render());
-    let par = run_with_threads(declared("rolling_upgrade_coord_crash"), Some(4)).expect("valid");
-    assert_eq!(par.trace_hash, seq.trace_hash, "sharded run diverged");
-    assert_eq!(par.span_digest, seq.span_digest);
-    assert_eq!(
-        par.counters, seq.counters,
-        "counters diverged across threads"
-    );
 }

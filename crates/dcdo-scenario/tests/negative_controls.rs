@@ -335,3 +335,60 @@ expect trace_invariants
         "got: {missing:?}"
     );
 }
+
+#[test]
+fn overflowing_durations_are_rejected_not_wrapped() {
+    // 2e10 s is 2e19 ns, past u64::MAX (~1.8e19): the conversion must
+    // refuse it rather than overflow or wrap to a small window.
+    assert_eq!(dcdo_scenario::parse_secs("2e10"), None);
+    assert_eq!(dcdo_scenario::parse_secs("1e300"), None);
+    assert_eq!(
+        dcdo_scenario::parse_secs("18446744073.709"),
+        Some(SimDuration::from_millis(18_446_744_073_709))
+    );
+
+    let err = Scenario::from_text(
+        "scenario x\ntopology bare nodes=4\nwindow secs=2e10\nworkload chatter_ring nodes=4 until=1\n",
+    )
+    .expect_err("overflowing window");
+    assert!(
+        matches!(err, ScenarioError::Parse { line: 3, .. }),
+        "window duration is a parse error on its line: {err}"
+    );
+
+    let err = Scenario::from_text(
+        "scenario x\ntopology bare nodes=4\nwindow secs=1\nworkload chatter_ring nodes=4 until=1\nworkload chaos crash@2e10=1\n",
+    )
+    .expect_err("overflowing fault time");
+    match err {
+        ScenarioError::BadParam { context, msg } => {
+            assert_eq!(context, "workload chaos");
+            assert!(msg.contains("2e10"), "message names the token: {msg}");
+        }
+        other => panic!("expected BadParam, got {other:?}"),
+    }
+}
+
+#[test]
+fn topology_past_the_engine_node_limit_is_rejected() {
+    let scenario = Scenario::from_text(
+        "scenario huge\ntopology bare nodes=70000 net=centurion\nwindow secs=1\nworkload chatter_ring nodes=70000 until=1\n",
+    )
+    .expect("declaration parses");
+    let expected = ScenarioError::TooManyNodes {
+        scenario: "huge".to_string(),
+        nodes: 70_000,
+        limit: dcdo_sim::MAX_NODES,
+    };
+    let msg = expected.to_string();
+    assert!(msg.contains("70000") && msg.contains("65535"), "{msg}");
+    assert_eq!(scenario.validate(), Err(expected.clone()));
+    assert_eq!(run(scenario).map(|r| r.passed), Err(expected));
+
+    let at_limit = Scenario::builder("at_limit")
+        .topology(Topology::bare(dcdo_sim::MAX_NODES, NetKind::Instant))
+        .timed(secs(1))
+        .workload(0, ChatterRing::new(2, secs(1)))
+        .build();
+    assert_eq!(at_limit.validate(), Ok(()));
+}

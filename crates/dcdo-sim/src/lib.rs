@@ -18,12 +18,8 @@
 //! Determinism: events are totally ordered by `(time, lane, sequence)` keys
 //! minted from per-lane counters, and all jitter comes from per-lane seeded
 //! generators split deterministically from the run seed — identical seeds
-//! produce identical traces. The parallel sharded runner (enable with
-//! [`Simulation::set_threads`], [`set_default_threads`], or
-//! `DCDO_SIM_THREADS`) executes disjoint node shards concurrently under a
-//! conservative network-latency lookahead and merges their logs back into
-//! the exact sequential order: trace digests are byte-identical at every
-//! thread count.
+//! produce identical traces. The engine is sequential: one thread pops and
+//! dispatches every event.
 //!
 //! # Examples
 //!
@@ -60,17 +56,15 @@
 mod engine;
 mod metrics;
 mod net;
-mod parallel;
 mod queue;
 mod rng;
 mod time;
 mod timeline;
 mod trace;
 
-pub use engine::{Actor, ActorId, Ctx, Payload, Simulation, TimerId};
+pub use engine::{Actor, ActorId, Ctx, Payload, Simulation, TimerId, MAX_NODES};
 pub use metrics::{Histogram, Metrics};
 pub use net::{DeliveryPlan, LinkFault, NetConfig, NetStats, Network, NodeId, TransferModel};
-pub use parallel::set_default_threads;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use timeline::{Bucket, Timeline, WindowStats, DEFAULT_BUCKET_NS};
@@ -87,3 +81,8 @@ pub use dcdo_trace::{
     check as check_trace_invariants, fn_hash, FlowKind, RpcOutcome, SendVerdict, SpanEvent, SpanId,
     SpanKind, TraceLog, Violation, NO_NODE,
 };
+
+/// Does nothing: the engine is sequential.
+// Kept only because `hostbench/` still calls it; remove it with that call.
+#[doc(hidden)]
+pub fn set_default_threads(_n: u32) {}

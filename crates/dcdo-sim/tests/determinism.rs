@@ -167,17 +167,13 @@ fn identical_seeds_produce_identical_traces_verbatim() {
 /// Golden-trace pinning: the exact event order of the engine, hashed.
 ///
 /// These hashes pin the observable event order of the lane-structured
-/// engine (per-lane `(time, lane, seq)` keys and per-lane RNG streams,
-/// introduced for the parallel sharded runner). The ping-pong and
-/// timer-heavy constants were re-captured at that introduction — per-lane
-/// RNG streams legitimately re-jitter arrival times, and per-lane sub-keys
-/// reorder same-tick events across lanes — while the fan-out constant
-/// survived from the seed engine unchanged (single-hub FIFO order is
-/// lane-invariant). From here on the hashes pin the order across *every*
-/// execution mode: the sequential engine and the parallel runner at any
-/// thread count must reproduce them bit-for-bit (the parallel-parity suite
-/// in dcdo-workloads enforces the latter). If one of these fails, event
-/// ordering changed — that is a correctness bug, not a test to update.
+/// engine (per-lane `(time, lane, seq)` keys and per-lane RNG streams).
+/// The ping-pong and timer-heavy constants were re-captured when lanes were
+/// introduced — per-lane RNG streams legitimately re-jitter arrival times,
+/// and per-lane sub-keys reorder same-tick events across lanes — while the
+/// fan-out constant survived from the seed engine unchanged (single-hub
+/// FIFO order is lane-invariant). If one of these fails, event ordering
+/// changed — that is a correctness bug, not a test to update.
 mod golden_trace {
     use dcdo_sim::{
         Actor, ActorId, Ctx, NetConfig, NodeId, Payload, SimDuration, Simulation, TimerId,

@@ -6,10 +6,8 @@
 //! complementary always-on facility: every executed engine event leaves a
 //! 16-byte [`FlightFrame`] in a fixed-capacity ring (the "black box" of
 //! recent history), with deterministic oldest-first eviction and an FNV-1a
-//! digest over the retained window. The engine buffers frames per shard
-//! tagged with the executing event's key and k-way merges them at window
-//! barriers, exactly like its span buffers, so the retained set and the
-//! digest are byte-identical at any worker-thread count.
+//! digest over the retained window. Frames are pushed in execution order,
+//! so the retained set and the digest are a pure function of the run.
 //!
 //! When a full span log *is* available (scenario runs enable one; SLO
 //! breaches demand one), [`tail_sample`] applies the retention policy after
@@ -186,9 +184,8 @@ impl FlightRecorder {
     }
 
     /// FNV-1a digest over the total count and every retained frame, oldest
-    /// first. Byte-identical at any worker-thread count and across build
-    /// profiles: frames merge back into execution order at shard barriers
-    /// and carry integers only.
+    /// first. Byte-identical across build profiles: frames are pushed in
+    /// execution order and carry integers only.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_u64(self.head as u64);
@@ -362,7 +359,7 @@ pub fn tail_sample(log: &TraceLog, recorder: &FlightRecorder, slow_quantile: f64
 
 impl FlightDump {
     /// Deterministic JSON: fixed key order, integer ids, hex digest —
-    /// byte-identical sequential vs sharded and debug vs release.
+    /// byte-identical in debug and release builds.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");

@@ -14,7 +14,7 @@ use crate::span::{SpanEvent, SpanId, SpanKind};
 /// Events enter the log through two doors: [`TraceLog::emit`] mints the next
 /// dense id itself, while [`TraceLog::push_event`] appends a pre-built event
 /// whose id the producer chose (the simulation engine allocates per-lane
-/// ids so a parallel run can merge shard logs back into one sequence). Both
+/// ids, so one node's span ids do not shift with another node's traffic). Both
 /// maintain the id → position index that [`TraceLog::get`] uses.
 #[derive(Debug, Default, Clone)]
 pub struct TraceLog {
@@ -85,8 +85,7 @@ impl TraceLog {
 
     /// Appends a pre-built event carrying a producer-allocated id. Unlike
     /// [`TraceLog::emit`], the id sequence is not advanced — the producer
-    /// owns id uniqueness. The engine uses this to merge per-shard span
-    /// buffers back into execution order after a parallel window.
+    /// owns id uniqueness. The engine uses this for its per-lane span ids.
     pub fn push_event(&mut self, ev: SpanEvent) {
         self.index.insert(ev.id.as_raw(), self.events.len());
         self.events.push(ev);

@@ -254,20 +254,16 @@ pub fn fan_out(rounds: u64, spokes: u32, payload_words: usize) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// fan-out-wide (the parallel-scaling shape)
+// fan-out-wide (many independent clusters on the centurion network)
 
 /// Builds the wide fan-out simulation: one [`BlastHub`] per centurion node
 /// (16 independent broadcast clusters running concurrently), with the
 /// `spokes` ack spokes dealt round-robin across the hubs and every spoke
 /// placed on a *different* node than its hub.
 ///
-/// Unlike [`fan_out_sim`] — a single hub on the instant network, which is
-/// an inherently serial event stream — this shape is built for the sharded
-/// runner: the centurion network's link latency gives the conservative
-/// lookahead a non-zero window, and the 16 clusters make progress
-/// independently, so work spreads across however many shards the engine is
-/// configured with. It is the scaling workload of the thread-count sweep
-/// in `BENCH_sim.json`.
+/// Unlike [`fan_out_sim`] — a single hub on the instant network — every
+/// broadcast and ack here crosses the centurion network, and the 16
+/// clusters interleave in the queue.
 pub fn fan_out_wide_sim(rounds: u64, spokes: u32, payload_words: usize) -> (Simulation<Msg>, u64) {
     const HUBS: u32 = 16;
     let mut sim = Simulation::new(NetConfig::centurion(), 31);
@@ -289,7 +285,7 @@ pub fn fan_out_wide_sim(rounds: u64, spokes: u32, payload_words: usize) -> (Simu
     for i in 0..spokes {
         let h = i % HUBS;
         // Spokes sit on nodes other than their hub's, so every broadcast
-        // and every ack crosses the network (and, sharded, a lane).
+        // and every ack crosses the network (and a lane).
         let node = (h + 1 + i / HUBS) % HUBS;
         let spoke = sim.spawn(NodeId::from_raw(node), AckSpoke);
         sim.actor_mut::<BlastHub>(hubs[h as usize])

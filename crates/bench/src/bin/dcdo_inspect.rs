@@ -1,17 +1,22 @@
-//! Trace inspector: runs a named workload or chaos scenario with full
-//! tracing, feeds the span log through the `dcdo-profile` analyzers, and
-//! prints the paper-style tables — per-kind reconfiguration costs, the
-//! longest critical path with its per-layer split, the VM hot-function
-//! list, and RPC amplification. Exports the full report as deterministic
-//! JSON and Prometheus text (CI diffs the JSON debug-vs-release).
+//! Trace inspector: runs one of the declared reconfiguration or fault
+//! scenarios with full tracing, feeds the span log through the
+//! `dcdo-profile` analyzers, and prints the paper-style tables — per-kind
+//! reconfiguration costs, the longest critical path with its per-layer
+//! split, the VM hot-function list, and RPC amplification. Exports the full
+//! report as deterministic JSON and Prometheus text (CI diffs the JSON
+//! debug-vs-release).
 //!
 //! Usage:
 //!   cargo run --release -p dcdo-bench --bin dcdo-inspect -- \
 //!       [vm] <workload> [seed] [--out PREFIX]
 //!
-//! Workloads: reconfig, reconfig_faulted, crash_during_reconfig,
-//! rolling_partition, restart_storm. Seed defaults to 42; output defaults
-//! to BENCH_profile.json / BENCH_profile.prom.
+//! Workloads: reconfig, crash_during_reconfig, rolling_partition,
+//! restart_storm — the declared scenarios of the same names. The two
+//! reconfiguration targets profile `reconfig_run` with its real layer map
+//! and name table (the faulted run drained first); the ring scenarios are
+//! profiled from the declared run's span log with an empty layer map. Seed
+//! defaults to 42; output defaults to BENCH_profile.json /
+//! BENCH_profile.prom.
 //!
 //! The `vm` subcommand (`dcdo-inspect vm <workload> …`) runs the same
 //! scenario and then reports the VM's view of it: the per-function cost
@@ -40,14 +45,19 @@
 //! span trees of every aborted, invariant-violating, or slowest-percentile
 //! flow. Both honor the `--out FILE` flag every subcommand shares, and
 //! both exit nonzero if the scenario fails.
+//!
+//! The `trace` subcommand (`dcdo-inspect trace <name|file.scn> [seed]
+//! [--out FILE]`) runs one scenario and writes its span log as Chrome-trace
+//! JSON (default `TRACE_<name>.json`, openable in `chrome://tracing` or
+//! Perfetto), printing the span count and the build-independent digest.
 
-use dcdo_profile::{CriticalPath, ProfileReport};
+use dcdo_profile::{CriticalPath, FnNames, LayerMap, ProfileReport};
+use dcdo_sim::TraceLog;
 use dcdo_vm::{FusionStats, VmProfile, OPCODE_NAMES};
-use dcdo_workloads::{chaos, reconfig};
+use dcdo_workloads::reconfig;
 
 const WORKLOADS: &[&str] = &[
     "reconfig",
-    "reconfig_faulted",
     "crash_during_reconfig",
     "rolling_partition",
     "restart_storm",
@@ -60,6 +70,7 @@ fn usage() -> ! {
     eprintln!("       dcdo-inspect epochs <name|file.scn> [seed]");
     eprintln!("       dcdo-inspect timeline <name|file.scn> [seed] [--out FILE]");
     eprintln!("       dcdo-inspect flight <name|file.scn> [seed] [--out FILE]");
+    eprintln!("       dcdo-inspect trace <name|file.scn> [seed] [--out FILE]");
     eprintln!("workloads: {}", WORKLOADS.join(", "));
     eprintln!("vm: print the VM per-function/per-opcode cost tables and");
     eprintln!("    superinstruction coverage for the scenario");
@@ -72,6 +83,8 @@ fn usage() -> ! {
     eprintln!("    as deterministic JSON (+ Prometheus text alongside)");
     eprintln!("flight: run one scenario and render the tail-sampled");
     eprintln!("    flight-recorder dump (aborted/violating/slowest flows)");
+    eprintln!("trace: run one scenario and export its span log as Chrome-trace");
+    eprintln!("    JSON (default TRACE_<name>.json), printing span count and digest");
     eprintln!("every subcommand accepts --out FILE uniformly");
     std::process::exit(2);
 }
@@ -249,35 +262,48 @@ fn single_scenario(subcommand: &str, cli: &Cli) -> dcdo_scenario::Scenario {
     scenario
 }
 
+/// Runs a scenario and rebuilds the span log it returns into a
+/// [`TraceLog`] (keeping each event's engine-allocated id), exiting with
+/// status 2 if the declaration is invalid.
+fn scenario_spans(scenario: dcdo_scenario::Scenario) -> (dcdo_scenario::ScenarioReport, TraceLog) {
+    let name = scenario.name.clone();
+    match dcdo_scenario::run_with_spans(scenario) {
+        Ok((report, spans)) => {
+            let mut log = TraceLog::new();
+            for ev in spans {
+                log.push_event(ev);
+            }
+            (report, log)
+        }
+        Err(e) => {
+            eprintln!("dcdo-inspect: scenario {name} is invalid: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// The `epochs` subcommand: run one scenario with span logging and render
 /// the per-group epoch timeline (proposals, commits, replica adoptions).
 fn run_epochs(args: &[String]) {
     let cli = parse_cli(args);
     let scenario = single_scenario("epochs", &cli);
     let name = scenario.name.clone();
-    match dcdo_scenario::run_with_spans(scenario) {
-        Ok((report, spans)) => {
-            let rows = dcdo_group::epoch_timeline(&spans);
-            println!(
-                "scenario {name}, seed {}: {} epoch events over {} spans",
-                report.seed,
-                rows.len(),
-                spans.len()
-            );
-            if rows.is_empty() {
-                println!("(no group-epoch spans — does the scenario deploy a replica group?)");
-            } else {
-                print!("{}", dcdo_group::render_timeline(&rows));
-            }
-            if !report.passed {
-                eprintln!("dcdo-inspect: scenario {name} failed its expectations");
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("dcdo-inspect: scenario {name} is invalid: {e}");
-            std::process::exit(2);
-        }
+    let (report, log) = scenario_spans(scenario);
+    let rows = dcdo_group::epoch_timeline(log.events());
+    println!(
+        "scenario {name}, seed {}: {} epoch events over {} spans",
+        report.seed,
+        rows.len(),
+        log.len()
+    );
+    if rows.is_empty() {
+        println!("(no group-epoch spans — does the scenario deploy a replica group?)");
+    } else {
+        print!("{}", dcdo_group::render_timeline(&rows));
+    }
+    if !report.passed {
+        eprintln!("dcdo-inspect: scenario {name} failed its expectations");
+        std::process::exit(1);
     }
 }
 
@@ -352,6 +378,26 @@ fn run_flight(args: &[String]) {
     }
 }
 
+/// The `trace` subcommand: run one scenario and export its span log as
+/// Chrome-trace JSON.
+fn run_trace(args: &[String]) {
+    let cli = parse_cli(args);
+    let scenario = single_scenario("trace", &cli);
+    let name = scenario.name.clone();
+    let (report, log) = scenario_spans(scenario);
+    let json_path = cli.out.unwrap_or_else(|| format!("TRACE_{name}.json"));
+    std::fs::write(&json_path, log.to_chrome_trace()).expect("write chrome trace");
+    println!(
+        "wrote {json_path}: {} spans, digest {:016x}",
+        log.len(),
+        log.digest()
+    );
+    if !report.passed {
+        eprintln!("dcdo-inspect: scenario {name} failed its expectations");
+        std::process::exit(1);
+    }
+}
+
 /// Derives the Prometheus export path from the JSON path (`x.json` →
 /// `x.prom`, anything else gets `.prom` appended).
 fn sibling_prom_path(json_path: &str) -> String {
@@ -397,28 +443,48 @@ fn print_timeline_table(timeline_json: &str) {
     }
 }
 
+/// Profiles one of the [`WORKLOADS`], printing a one-line summary first.
 fn run_workload(name: &str, seed: u64) -> ProfileReport {
-    match name {
-        "reconfig" | "reconfig_faulted" => {
-            let run = reconfig::reconfig_run(seed, name == "reconfig_faulted");
-            if run.recovery_time_s > 0.0 {
-                println!("recovery after injected crash: {:.3}s", run.recovery_time_s);
-            }
-            println!("reconfiguration window: {} messages", run.window_messages);
-            run.profile()
-        }
-        _ => {
-            let (report, profile) = chaos::profiled_scenario(name, seed).unwrap_or_else(|| usage());
-            println!(
-                "{}: recovery {:.3}s, amplification {:.3}x, {} trace violations",
-                report.name,
-                report.recovery_time_s,
-                report.message_amplification,
-                report.trace_violations
-            );
-            profile
-        }
+    if name == "reconfig" {
+        let run = reconfig::reconfig_run(seed, false);
+        println!("reconfiguration window: {} messages", run.window_messages);
+        return run.profile();
     }
+    let scenario = dcdo_scenario::registry::load_declared(name)
+        .expect("every workload is a declared scenario")
+        .with_seed(seed);
+    let (report, log) = scenario_spans(scenario);
+    print_fault_summary(&report);
+    if name != "crash_during_reconfig" {
+        return ProfileReport::analyze(&log, &LayerMap::new(), &FnNames::new());
+    }
+    // Scope the process-wide VM aggregates (`vm` mode) to the profiled run
+    // alone, not the scenario's baseline and faulted runs above.
+    dcdo_vm::reset_global_vm_profile();
+    dcdo_vm::reset_fusion_stats();
+    let mut run = reconfig::reconfig_run(seed, true);
+    run.bed.sim.run_until_idle();
+    run.profile()
+}
+
+/// One-line recovery summary of a fault scenario, read from the gauges its
+/// declared workloads recorded (`*.recovery_s`, `*.amplification`).
+fn print_fault_summary(report: &dcdo_scenario::ScenarioReport) {
+    let gauge = |suffix: &str| {
+        report
+            .gauges
+            .iter()
+            .find(|(key, _)| key.ends_with(suffix))
+            .map(|(_, value)| *value)
+    };
+    let mut line = format!("{}:", report.name);
+    if let Some(recovery) = gauge(".recovery_s") {
+        line.push_str(&format!(" recovery {recovery:.3}s,"));
+    }
+    if let Some(amplification) = gauge(".amplification") {
+        line.push_str(&format!(" amplification {amplification:.3}x,"));
+    }
+    println!("{line} {} trace violations", report.trace_violations);
 }
 
 fn ms(ns: u64) -> f64 {
@@ -650,6 +716,10 @@ fn main() {
             run_flight(&args[1..]);
             return;
         }
+        Some("trace") => {
+            run_trace(&args[1..]);
+            return;
+        }
         _ => {}
     }
     // The profile path (`[vm] <workload> [seed]`) shares the same flag
@@ -676,11 +746,6 @@ fn main() {
     }
 
     println!("workload {workload}, seed {seed}");
-    if vm_mode {
-        // Scope the process-wide VM aggregates to this scenario.
-        dcdo_vm::reset_global_vm_profile();
-        dcdo_vm::reset_fusion_stats();
-    }
     let report = run_workload(&workload, seed);
 
     if vm_mode {

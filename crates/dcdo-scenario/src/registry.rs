@@ -9,8 +9,9 @@
 //!
 //! The repo's canonical workloads live here as *embedded scenario text*,
 //! parsed through the same `.scn` loader users feed files to — proving the
-//! loader covers the whole canonical set. The golden-parity suite holds
-//! each declaration to the trace hash of its hand-coded counterpart.
+//! loader covers the whole canonical set. The golden-parity suite pins
+//! each declaration's trace hash, span digest and flight digest as
+//! literals.
 
 use std::collections::BTreeMap;
 
@@ -455,7 +456,8 @@ expect metric_equals sim.node_crashes 1
 
 /// `rolling_partition` — a genuine composition (not an episode): the ring
 /// and the fault plan are independent declared workloads over a bare
-/// topology, reproducing the hand-coded scenario's trace hash exactly.
+/// topology: an 8-node chatter ring talking through two partition/heal
+/// cycles, judged on drops, amplification and post-heal recovery.
 pub const ROLLING_PARTITION: &str = "\
 scenario rolling_partition
 seed 42

@@ -1,12 +1,13 @@
 //! Ring-traffic and fault-plan workloads: the building blocks the chaos
 //! scenarios compose from.
 //!
-//! [`ChatterRing`] spawns the same timer-driven ring as the hand-coded
-//! chaos scenarios (via `dcdo_workloads::chaos::spawn_ring`) and measures
-//! delivery amplification and post-heal recovery. [`ChaosAttachment`]
+//! [`ChatterRing`] spawns the timer-driven ring of
+//! `dcdo_workloads::chaos::spawn_ring` and measures delivery amplification
+//! and post-heal recovery. [`ChaosAttachment`]
 //! turns a `FaultPlan` into an attachable workload: setup installs a
 //! `ChaosController`, and the plan participates in scenario validation
-//! (both `FaultPlan::validate` and the window-length check).
+//! (both `FaultPlan::validate` and the window-length check), and a plan
+//! that would crash its own controller's node is rejected up front.
 
 use dcdo_chaos::{ChaosController, FaultPlan};
 use dcdo_sim::{NodeId, SimDuration, SimTime};
@@ -19,7 +20,8 @@ use crate::workload::{RunCx, Workload};
 /// A ring of timer-driven chatters on nodes `1..nodes` (node 0 is left for
 /// the chaos controller), talking until `until`; `measure` records
 /// `net.amplification` and — when `final_heal` is set — the post-heal
-/// recovery gauge `chatter.recovery_s`.
+/// recovery gauge `chatter.recovery_s` (validation rejects a `final_heal`
+/// past `until`).
 pub struct ChatterRing {
     nodes: u32,
     until: SimDuration,
@@ -66,6 +68,19 @@ impl Workload for ChatterRing {
                     self.nodes, topology.nodes
                 ),
             });
+        }
+        if let Some(heal) = self.final_heal {
+            if heal > self.until {
+                return Err(ScenarioError::BadParam {
+                    context: "workload chatter_ring".to_string(),
+                    msg: format!(
+                        "final_heal at {}s is past the ring's until={}s, so recovery \
+                         could never be measured",
+                        heal.as_secs_f64(),
+                        self.until.as_secs_f64()
+                    ),
+                });
+            }
         }
         Ok(())
     }
@@ -123,6 +138,16 @@ impl Workload for ChaosAttachment {
                     "controller node {} out of range (topology has {} nodes)",
                     self.node.as_raw(),
                     topology.nodes
+                ),
+            });
+        }
+        if self.plan.crashes(self.node) {
+            return Err(ScenarioError::BadParam {
+                context: "workload chaos".to_string(),
+                msg: format!(
+                    "the plan crashes controller node {}; the controller must outlive \
+                     its plan",
+                    self.node.as_raw()
                 ),
             });
         }

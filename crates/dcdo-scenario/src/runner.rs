@@ -1,7 +1,7 @@
 //! The scenario runner: validate, build, set up, drive, measure, judge.
 //!
-//! The run sequence matches the repo's hand-coded workload drivers exactly
-//! (the golden-parity suite holds it to their trace hashes):
+//! The run sequence is fixed (the golden-parity suite pins the trace
+//! hashes it produces):
 //!
 //! 1. [`Scenario::validate`] — typed rejection before any state exists.
 //! 2. Build the world from the topology (episodes stay pending).

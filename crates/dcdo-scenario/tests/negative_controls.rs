@@ -392,3 +392,43 @@ fn topology_past_the_engine_node_limit_is_rejected() {
         .build();
     assert_eq!(at_limit.validate(), Ok(()));
 }
+
+#[test]
+fn final_heal_past_the_ring_horizon_is_rejected_not_a_panic() {
+    // The ring stops talking at until=2, so no chatter can resume after a
+    // heal at 9s: measuring recovery would subtract 9s from 2s.
+    for (until, final_heal) in [(2, 9), (12, 100)] {
+        let scenario = Scenario::from_text(&format!(
+            "scenario late_heal\ntopology bare nodes=8 net=centurion\nwindow secs={until}\n\
+             workload chatter_ring nodes=8 until={until} final_heal={final_heal}\n"
+        ))
+        .expect("the declaration parses");
+        match run(scenario) {
+            Err(ScenarioError::BadParam { context, msg }) => {
+                assert_eq!(context, "workload chatter_ring");
+                assert!(msg.contains("final_heal"), "message names the key: {msg}");
+            }
+            other => panic!("expected BadParam, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn fault_plan_crashing_its_own_controller_is_rejected_not_a_panic() {
+    let scenario = Scenario::from_text(
+        "scenario self_crash\ntopology bare nodes=8 net=centurion\nwindow secs=10\n\
+         workload chatter_ring nodes=8 until=10\n\
+         workload chaos node=2 crash_for@1.3+0.5=1 crash_for@1.9+0.5=2\n",
+    )
+    .expect("the declaration parses");
+    match run(scenario) {
+        Err(ScenarioError::BadParam { context, msg }) => {
+            assert_eq!(context, "workload chaos");
+            assert!(
+                msg.contains("controller node 2"),
+                "message names the node: {msg}"
+            );
+        }
+        other => panic!("expected BadParam, got {other:?}"),
+    }
+}

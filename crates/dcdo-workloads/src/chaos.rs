@@ -1,128 +1,21 @@
-//! Chaos workloads: deterministic fault-injection scenarios with recovery
-//! metrics.
+//! Chaos ring building blocks: the timer-driven chatter ring and the
+//! measurements taken over it.
 //!
-//! Three canonical fault shapes exercise the recovery machinery end to end
-//! and feed the `chaos_bench` JSON emitter (`BENCH_chaos.json`):
-//!
-//! - [`crash_during_reconfig`] — a DCDO's host crashes while an evolution
-//!   is mid-flight; the manager aborts the flow, rebuilds the instance from
-//!   its vault snapshot after the host returns, and the re-issued update
-//!   lands. Measures recovery time and the message amplification of the
-//!   faulted episode against a healthy same-seed baseline.
-//! - [`rolling_partition`] — timer-driven chatters keep pinging through a
-//!   sequence of partition/heal cycles. Measures how long traffic takes to
-//!   resume after the final heal and how many messages the partitions ate.
-//! - [`restart_storm`] — rounds of staggered crash/restart cycles sweep
-//!   across the testbed. Checks that nothing leaks: dead nodes' timers are
-//!   cancelled and the event queue drains to empty.
-//!
-//! Every scenario is seed-deterministic: two runs with the same seed
-//! produce bit-identical execution traces (compared via
-//! [`dcdo_chaos::trace_hash`]), which the chaos suite asserts.
+//! The fault scenarios themselves are declared in `dcdo-scenario`
+//! (`rolling_partition`, `restart_storm`): its `chatter_ring` workload
+//! spawns this ring through [`spawn_ring`] and reads
+//! [`delivery_amplification`] and [`ring_recovery_time`], while a declared
+//! fault plan supplies the partitions and crashes.
 
-use dcdo_chaos::{trace_hash, ChaosController, FaultPlan};
-use dcdo_profile::{FnNames, LayerMap, ProfileReport};
-use dcdo_sim::{Actor, ActorId, Ctx, NetConfig, SimDuration, SimTime, Simulation};
+use dcdo_sim::{Actor, ActorId, Ctx, SimDuration, SimTime, Simulation};
 use dcdo_types::{CallId, ObjectId};
 use dcdo_vm::Value;
 use legion_substrate::Msg;
 
-use crate::reconfig::{reconfig_run, ReconfigRun};
-
-/// Outcome of one chaos scenario run.
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// Scenario name (stable across runs; used as the JSON key).
-    pub name: &'static str,
-    /// The RNG seed the run used.
-    pub seed: u64,
-    /// FNV-1a hash of the rendered execution trace — equal across two
-    /// same-seed runs of the same scenario.
-    pub trace_hash: u64,
-    /// Engine events processed over the whole run.
-    pub events_processed: u64,
-    /// Simulated seconds from fault to restored service (scenario-specific;
-    /// see each scenario's doc).
-    pub recovery_time_s: f64,
-    /// Message cost of running under faults, relative to a healthy
-    /// reference (scenario-specific; >= 1.0 means faults cost extra
-    /// traffic).
-    pub message_amplification: f64,
-    /// Messages dropped because a node was down or partitioned away.
-    pub unreachable_drops: u64,
-    /// Node crashes injected over the run.
-    pub node_crashes: u64,
-    /// Events still pending after the scenario drained — leaks; expected 0.
-    pub leaked_events: u64,
-    /// FNV-1a digest of the structured span log — equal across same-seed
-    /// runs and across build profiles (integer-only).
-    pub span_digest: u64,
-    /// Trace-invariant violations found by the checker; expected 0.
-    pub trace_violations: u64,
-}
-
-/// Runs the trace-invariant checker over a finished sim's span log and
-/// returns `(violation count, span digest)`, printing each violation so a
-/// failing suite names the broken invariant.
-fn span_results(sim: &Simulation<Msg>) -> (u64, u64) {
-    let violations = dcdo_sim::check_trace_invariants(sim.spans());
-    for v in &violations {
-        eprintln!("trace invariant violated: {v}");
-    }
-    (violations.len() as u64, sim.spans().digest())
-}
-
-// ---------------------------------------------------------------------------
-// crash-during-reconfig
-
-/// Crash-during-reconfiguration: the instance's host dies one simulated
-/// second into an evolution; the manager aborts the flow, the host returns,
-/// the instance is rebuilt from its vault snapshot, and the re-issued
-/// update lands.
-///
-/// `recovery_time_s` is the simulated span from the crash to the recovered
-/// instance being re-registered. `message_amplification` compares the
-/// faulted reconfiguration window's traffic to a healthy same-seed
-/// baseline run of the same window (crash, failover, and rebuild all cost
-/// messages, so this exceeds 1).
-pub fn crash_during_reconfig(seed: u64) -> ChaosReport {
-    crash_during_reconfig_inner(seed).0
-}
-
-fn crash_during_reconfig_inner(seed: u64) -> (ChaosReport, ReconfigRun) {
-    let baseline = reconfig_run(seed, false);
-    let mut faulted = reconfig_run(seed, true);
-    faulted.bed.sim.run_until_idle();
-    let sim = &faulted.bed.sim;
-    let (trace_violations, span_digest) = span_results(sim);
-    let report = ChaosReport {
-        name: "crash_during_reconfig",
-        seed,
-        trace_hash: trace_hash(sim.trace()),
-        events_processed: sim.events_processed(),
-        recovery_time_s: faulted.recovery_time_s,
-        message_amplification: faulted.window_messages as f64
-            / baseline.window_messages.max(1) as f64,
-        unreachable_drops: sim.metrics().counter("sim.unreachable_drops"),
-        node_crashes: sim.metrics().counter("sim.node_crashes"),
-        leaked_events: sim.pending_events() as u64,
-        span_digest,
-        trace_violations,
-    };
-    (report, faulted)
-}
-
-// ---------------------------------------------------------------------------
-// chatter ring (rolling-partition and restart-storm traffic)
-
 /// A timer-driven ring talker: every period it pings its ring successor
 /// (regardless of replies — partitions and crashes must not silence it)
 /// and echoes pings it receives. Records when each echo arrived so the
-/// driver can measure how fast traffic resumes after a heal.
-///
-/// Public so the `dcdo-scenario` layer can re-express the ring scenarios
-/// declaratively: a chatter-ring workload spawns the same ring through
-/// [`spawn_ring`] and measures recovery through [`ring_recovery_time`].
+/// ring's owner can measure how fast traffic resumes after a heal.
 pub struct Chatter {
     peer: Option<ActorId>,
     period: SimDuration,
@@ -219,6 +112,11 @@ pub fn delivery_amplification(sim: &Simulation<Msg>) -> f64 {
 /// The longest any chatter in `ring` waited after `healed_at` before
 /// hearing an echo again, in simulated seconds; a chatter that never
 /// resumed is charged the full span to `horizon_end`.
+///
+/// # Panics
+///
+/// Panics if `healed_at` is later than `horizon_end` (the scenario layer
+/// rejects such a `final_heal` before the run starts).
 pub fn ring_recovery_time(
     sim: &Simulation<Msg>,
     ring: &[ActorId],
@@ -239,152 +137,10 @@ pub fn ring_recovery_time(
     recovery_time_s
 }
 
-/// Rolling partition: a chatter ring on 8 nodes talks through two
-/// partition/heal cycles (different cuts each time).
-///
-/// `recovery_time_s` is the longest any chatter waited after the *final*
-/// heal before hearing an echo again. `message_amplification` is offered
-/// messages over delivered messages — the partitions eat the difference
-/// (counted in `unreachable_drops`).
-pub fn rolling_partition(seed: u64) -> ChaosReport {
-    rolling_partition_inner(seed).0
-}
-
-fn rolling_partition_inner(seed: u64) -> (ChaosReport, Simulation<Msg>) {
-    const NODES: u32 = 8;
-    let horizon = SimDuration::from_secs(12);
-    let final_heal = SimDuration::from_secs(9);
-    let mut sim: Simulation<Msg> = Simulation::new(NetConfig::centurion(), seed);
-    sim.trace_mut().enable(1 << 18);
-    sim.spans_mut().enable();
-    let ring = spawn_ring(&mut sim, NODES, horizon);
-
-    let n = |i: u32| dcdo_sim::NodeId::from_raw(i);
-    let plan = FaultPlan::new()
-        .partition_at(
-            SimDuration::from_secs(3),
-            &[vec![n(0), n(1), n(2), n(3)], vec![n(4), n(5), n(6), n(7)]],
-        )
-        .heal_at(SimDuration::from_secs(5))
-        .partition_at(
-            SimDuration::from_secs(7),
-            &[vec![n(0), n(2), n(4), n(6)], vec![n(1), n(3), n(5), n(7)]],
-        )
-        .heal_at(final_heal);
-    ChaosController::install(&mut sim, n(0), plan);
-
-    sim.run_for(horizon);
-    sim.run_until_idle();
-
-    let healed_at = SimTime::ZERO + final_heal;
-    let recovery_time_s = ring_recovery_time(&sim, &ring, healed_at, SimTime::ZERO + horizon);
-    let (trace_violations, span_digest) = span_results(&sim);
-    let report = ChaosReport {
-        name: "rolling_partition",
-        seed,
-        trace_hash: trace_hash(sim.trace()),
-        events_processed: sim.events_processed(),
-        recovery_time_s,
-        message_amplification: delivery_amplification(&sim),
-        unreachable_drops: sim.metrics().counter("sim.unreachable_drops"),
-        node_crashes: sim.metrics().counter("sim.node_crashes"),
-        leaked_events: sim.pending_events() as u64,
-        span_digest,
-        trace_violations,
-    };
-    (report, sim)
-}
-
-/// Restart storm: three rounds of staggered crash/restart cycles sweep
-/// nodes 1–4 while the chatter ring keeps talking.
-///
-/// `recovery_time_s` is the planned per-crash downtime. The interesting
-/// outputs are `leaked_events` (must be 0: dead nodes' timers are
-/// cancelled, the queue drains) and `unreachable_drops` (messages that hit
-/// a down node). Chatters on crashed nodes stay dead after the restart —
-/// subsequent pings to them dead-letter — so the ring thins as the storm
-/// progresses, exactly like un-revived processes on a rebooted host.
-pub fn restart_storm(seed: u64) -> ChaosReport {
-    restart_storm_inner(seed).0
-}
-
-fn restart_storm_inner(seed: u64) -> (ChaosReport, Simulation<Msg>) {
-    const NODES: u32 = 8;
-    let down_for = SimDuration::from_millis(500);
-    let horizon = SimDuration::from_secs(10);
-    let mut sim: Simulation<Msg> = Simulation::new(NetConfig::centurion(), seed);
-    sim.trace_mut().enable(1 << 18);
-    sim.spans_mut().enable();
-    spawn_ring(&mut sim, NODES, horizon);
-
-    let mut plan = FaultPlan::new();
-    for round in 0..3u64 {
-        for k in 1..=4u64 {
-            let at = SimDuration::from_millis(1_000 + round * 2_000 + k * 300);
-            plan = plan.crash_for(at, down_for, dcdo_sim::NodeId::from_raw(k as u32));
-        }
-    }
-    ChaosController::install(&mut sim, dcdo_sim::NodeId::from_raw(0), plan);
-
-    sim.run_for(horizon);
-    sim.run_until_idle();
-
-    let (trace_violations, span_digest) = span_results(&sim);
-    let report = ChaosReport {
-        name: "restart_storm",
-        seed,
-        trace_hash: trace_hash(sim.trace()),
-        events_processed: sim.events_processed(),
-        recovery_time_s: down_for.as_secs_f64(),
-        message_amplification: delivery_amplification(&sim),
-        unreachable_drops: sim.metrics().counter("sim.unreachable_drops"),
-        node_crashes: sim.metrics().counter("sim.node_crashes"),
-        leaked_events: sim.pending_events() as u64,
-        span_digest,
-        trace_violations,
-    };
-    (report, sim)
-}
-
-/// Runs every chaos scenario at `seed`, in a stable order.
-pub fn all_scenarios(seed: u64) -> Vec<ChaosReport> {
-    vec![
-        crash_during_reconfig(seed),
-        rolling_partition(seed),
-        restart_storm(seed),
-    ]
-}
-
-/// Runs the named scenario and profiles its span log; `None` for an
-/// unknown name. `crash_during_reconfig` profiles with the reconfiguration
-/// workload's real layer map and name table; the ring scenarios have no
-/// manager or vault, so their profile carries an empty map (everything
-/// attributes to `other`/`network`) and surfaces traffic and RPC shape
-/// rather than flow tables.
-pub fn profiled_scenario(name: &str, seed: u64) -> Option<(ChaosReport, ProfileReport)> {
-    match name {
-        "crash_during_reconfig" => {
-            let (report, run) = crash_during_reconfig_inner(seed);
-            let profile = run.profile();
-            Some((report, profile))
-        }
-        "rolling_partition" => {
-            let (report, sim) = rolling_partition_inner(seed);
-            let profile = ProfileReport::analyze(sim.spans(), &LayerMap::new(), &FnNames::new());
-            Some((report, profile))
-        }
-        "restart_storm" => {
-            let (report, sim) = restart_storm_inner(seed);
-            let profile = ProfileReport::analyze(sim.spans(), &LayerMap::new(), &FnNames::new());
-            Some((report, profile))
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcdo_sim::NetConfig;
 
     #[test]
     fn chatter_ring_talks_on_a_quiet_network() {

@@ -10,11 +10,12 @@
 //!   remote-invocation latency and to feed lazy update checks;
 //! - [`simbench`] — the sim-core throughput workload shapes behind the
 //!   `sim_throughput` bench suite and the `BENCH_sim.json` emitter;
-//! - [`chaos`] — deterministic fault-injection scenarios (crash during
-//!   reconfiguration, rolling partitions, restart storms) with recovery
-//!   metrics behind the `BENCH_chaos.json` emitter;
+//! - [`chaos`] — the timer-driven chatter ring and its recovery and
+//!   amplification measurements, the building blocks of the declared
+//!   `rolling_partition` and `restart_storm` scenarios in `dcdo-scenario`;
 //! - [`reconfig`] — the canonical reconfiguration workload with the layer
-//!   map and name tables the `dcdo-profile` analyzers consume.
+//!   map and name tables the `dcdo-profile` analyzers consume; the declared
+//!   `reconfig` and `crash_during_reconfig` scenarios wrap it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,14 +20,17 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
-use dcdo_sim::{Actor, ActorId, Ctx, FlowKind as TraceFlowKind, NodeId, SimTime, SpanKind};
+use dcdo_sim::{
+    Actor, ActorId, Ctx, FlowKind as TraceFlowKind, LifecycleStep as Step, NodeId, SimTime,
+    SpanKind,
+};
 use dcdo_types::{CallId, ClassId, ImplementationType, ObjectId, VersionId};
 use legion_substrate::binding::{RegisterBinding, UnregisterBinding};
 use legion_substrate::monolithic::{CaptureState, Deactivate, RestoreState, StateBlob};
 use legion_substrate::vault::{LoadState, LoadedState, SaveState};
 use legion_substrate::{
-    Ack, AgentAddress, ControlOp, CostModel, Handled, InvocationFault, Msg, RpcClient,
-    RpcCompletion,
+    Ack, AgentAddress, ControlOp, CostModel, Handled, InvocationFault, Msg, ReplyPayload,
+    RpcClient, RpcCompletion,
 };
 
 use crate::descriptor::DfmDescriptor;
@@ -89,19 +92,8 @@ struct DcdoInfo {
     crashed: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MgrStep {
-    Capture,
-    Deactivate,
-    Unregister,
-    Spawn,
-    Register,
-    Apply,
-    Restore,
-    SaveVault,
-    LoadVault,
-}
-
+/// A lifecycle flow kind (§2.4). Each runs the fixed step plan
+/// [`MgrKind::plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MgrKind {
     Create,
@@ -111,6 +103,46 @@ enum MgrKind {
     Activate,
     Checkpoint,
     Recover,
+}
+
+impl MgrKind {
+    /// The step table: the steps a flow of this kind runs, in order. Every
+    /// step appears at most once per plan.
+    const fn plan(self) -> &'static [Step] {
+        use Step::*;
+        match self {
+            MgrKind::Create => &[Spawn, Register, Apply],
+            MgrKind::Update => &[Apply],
+            MgrKind::Migrate => &[Capture, Deactivate, Spawn, Apply, Restore, Register],
+            MgrKind::Deactivate => &[Capture, Deactivate, Unregister],
+            MgrKind::Activate => &[Spawn, Apply, Restore, Register],
+            MgrKind::Checkpoint => &[Capture, SaveVault],
+            MgrKind::Recover => &[Spawn, Apply, LoadVault, Restore, Register],
+        }
+    }
+
+    /// The trace-level kind `FlowStarted` carries.
+    const fn trace(self) -> TraceFlowKind {
+        match self {
+            MgrKind::Create => TraceFlowKind::Create,
+            MgrKind::Update => TraceFlowKind::Update,
+            MgrKind::Migrate => TraceFlowKind::Migrate,
+            MgrKind::Deactivate => TraceFlowKind::Deactivate,
+            MgrKind::Activate => TraceFlowKind::Activate,
+            MgrKind::Checkpoint => TraceFlowKind::Checkpoint,
+            MgrKind::Recover => TraceFlowKind::Recover,
+        }
+    }
+}
+
+/// The step after `step` in `kind`'s plan, or `None` when the flow is
+/// done. The one exception to the table: a `LoadVault` that found no
+/// snapshot skips the `Restore` after it.
+fn next_step(kind: MgrKind, step: Step, had_snapshot: bool) -> Option<Step> {
+    let plan = kind.plan();
+    let at = plan.iter().position(|&s| s == step)?;
+    let skip = usize::from(step == Step::LoadVault && !had_snapshot);
+    plan.get(at + 1 + skip).copied()
 }
 
 /// A queued (serialized) update request: reply channel, explicit target,
@@ -126,18 +158,77 @@ struct GroupGate {
     refused_while_fenced: u64,
 }
 
+/// A lifecycle flow in progress: where it is in its kind's plan, and what
+/// its finished steps produced.
 struct MgrFlow {
     kind: MgrKind,
+    step: Step,
     reply: Option<(ActorId, CallId)>,
     object: ObjectId,
     version: VersionId,
     target_node: NodeId,
+    /// Instance state: captured, parked (Activate) or loaded from the vault.
     state: Option<Bytes>,
+    /// The process `Spawn` created.
     new_actor: Option<ActorId>,
-    step: MgrStep,
     started: SimTime,
     /// Push attempts already burned (supervised internal updates retry).
     retries: u32,
+}
+
+impl MgrFlow {
+    /// A flow of `kind` at the first step of its plan.
+    fn new(
+        kind: MgrKind,
+        reply: Option<(ActorId, CallId)>,
+        object: ObjectId,
+        version: VersionId,
+        target_node: NodeId,
+    ) -> Self {
+        MgrFlow {
+            kind,
+            step: kind.plan()[0],
+            reply,
+            object,
+            version,
+            target_node,
+            state: None,
+            new_actor: None,
+            started: SimTime::ZERO,
+            retries: 0,
+        }
+    }
+}
+
+/// What ended a flow's current step.
+enum Outcome {
+    /// The step's RPC completed.
+    Reply(Result<ReplyPayload, InvocationFault>),
+    /// The spawn timer fired.
+    SpawnTimer,
+}
+
+/// Sends `result` to the caller, if there is one.
+fn answer(
+    ctx: &mut Ctx<'_, Msg>,
+    reply: Option<(ActorId, CallId)>,
+    result: Result<ControlOp, InvocationFault>,
+) {
+    if let Some((to, call)) = reply {
+        ctx.send(to, Msg::ControlReply { call, result });
+    }
+}
+
+/// Refuses the caller, if there is one.
+fn refuse(ctx: &mut Ctx<'_, Msg>, reply: Option<(ActorId, CallId)>, why: String) {
+    answer(ctx, reply, Err(InvocationFault::Refused(why)));
+}
+
+/// `Ack` on success; the error's text as a refusal otherwise.
+fn ack_or_refuse(result: Result<(), ConfigError>) -> Result<ControlOp, InvocationFault> {
+    result
+        .map(|()| ControlOp::new(Ack))
+        .map_err(|e| InvocationFault::Refused(e.to_string()))
 }
 
 /// The manager object for one DCDO type.
@@ -339,15 +430,12 @@ impl DcdoManager {
             return Ok(());
         }
         entry.descriptor.validate()?;
-        if let Some(parent_version) = version.parent() {
-            if let Some(parent) = self.store.get(&parent_version) {
-                entry.descriptor.respects_inheritance(&parent.descriptor)?;
-            }
+        if let Some(parent) = version.parent().and_then(|p| self.store.get(&p)) {
+            entry.descriptor.respects_inheritance(&parent.descriptor)?;
         }
-        self.store
-            .get_mut(version)
-            .expect("entry exists")
-            .instantiable = true;
+        if let Some(entry) = self.store.get_mut(version) {
+            entry.instantiable = true;
+        }
         Ok(())
     }
 
@@ -393,22 +481,6 @@ impl DcdoManager {
 
     // ---- flows ----------------------------------------------------------
 
-    fn schedule_flow_timer(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        flow_id: u64,
-        delay: dcdo_sim::SimDuration,
-    ) {
-        let token = ctx.fresh_u64();
-        self.timer_routes.insert(token, flow_id);
-        ctx.schedule_timer(delay, token);
-    }
-
-    fn rpc_step(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, target: ObjectId, op: ControlOp) {
-        let call = self.rpc.control(ctx, target, op);
-        self.rpc_routes.insert(call.as_raw(), flow_id);
-    }
-
     /// Releases the per-instance update lock and starts the next queued
     /// update, if any.
     fn release_update_slot(&mut self, ctx: &mut Ctx<'_, Msg>, object: ObjectId) {
@@ -418,92 +490,336 @@ impl DcdoManager {
             .get_mut(&object)
             .and_then(std::collections::VecDeque::pop_front);
         if let Some((reply, to, retries)) = next {
-            self.start_update_with_retries(ctx, reply, object, to, retries);
-        }
-    }
-
-    /// Maps a manager flow kind onto its trace-level [`TraceFlowKind`].
-    fn trace_kind(kind: MgrKind) -> TraceFlowKind {
-        match kind {
-            MgrKind::Create => TraceFlowKind::Create,
-            MgrKind::Update => TraceFlowKind::Update,
-            MgrKind::Migrate => TraceFlowKind::Migrate,
-            MgrKind::Deactivate => TraceFlowKind::Deactivate,
-            MgrKind::Activate => TraceFlowKind::Activate,
-            MgrKind::Checkpoint => TraceFlowKind::Checkpoint,
-            MgrKind::Recover => TraceFlowKind::Recover,
-        }
-    }
-
-    /// Stable wire code for a manager step (trace `FlowStep` payload).
-    fn step_code(step: MgrStep) -> u32 {
-        match step {
-            MgrStep::Capture => 0,
-            MgrStep::Deactivate => 1,
-            MgrStep::Unregister => 2,
-            MgrStep::Spawn => 3,
-            MgrStep::Register => 4,
-            MgrStep::Apply => 5,
-            MgrStep::Restore => 6,
-            MgrStep::SaveVault => 7,
-            MgrStep::LoadVault => 8,
-        }
-    }
-
-    /// Emits a `FlowStarted` span for a freshly inserted flow.
-    fn trace_flow_started(&self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        if !ctx.tracing_enabled() {
-            return;
-        }
-        if let Some(flow) = self.flows.get(&flow_id) {
-            ctx.emit_span(SpanKind::FlowStarted {
-                flow: flow_id,
-                object: flow.object.as_raw(),
-                kind: Self::trace_kind(flow.kind),
-            });
+            self.start_update(ctx, reply, object, to, retries);
         }
     }
 
     /// Emits a `FlowStep` span for a flow that just entered `step`.
-    fn trace_step(ctx: &mut Ctx<'_, Msg>, flow_id: u64, step: MgrStep) {
+    fn trace_step(ctx: &mut Ctx<'_, Msg>, flow_id: u64, step: Step) {
         if ctx.tracing_enabled() {
             ctx.emit_span(SpanKind::FlowStep {
                 flow: flow_id,
-                step: Self::step_code(step),
+                step: step.code(),
             });
         }
     }
 
-    fn fail_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, why: String) {
-        if let Some(flow) = self.flows.remove(&flow_id) {
-            ctx.metrics().incr("manager.flows_failed");
-            if ctx.tracing_enabled() {
-                ctx.emit_span(SpanKind::FlowAborted { flow: flow_id });
-            }
-            if flow.kind == MgrKind::Update {
-                self.release_update_slot(ctx, flow.object);
-            }
-            // Supervised internal updates (proactive pushes) are retried: a
-            // lost reply must not strand an instance behind the current
-            // version.
-            if flow.kind == MgrKind::Update && flow.reply.is_none() && flow.retries < 5 {
-                ctx.metrics().incr("manager.update_retries");
+    /// Acknowledges the caller, mints the flow id and opens `flow`.
+    fn launch(&mut self, ctx: &mut Ctx<'_, Msg>, flow: MgrFlow) {
+        if let Some((reply_to, call)) = flow.reply {
+            ctx.send(reply_to, Msg::Progress { call });
+        }
+        let flow_id = ctx.fresh_u64();
+        self.open_flow(ctx, flow_id, flow);
+    }
+
+    /// Emits `FlowStarted` and enters the first step of the flow's plan.
+    /// An opening step emits no `FlowStep` span, except Update's `Apply`
+    /// (the profiler's `init` cell is the gap before the first step span).
+    fn open_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, mut flow: MgrFlow) {
+        flow.started = ctx.now();
+        let (kind, object) = (flow.kind, flow.object);
+        self.flows.insert(flow_id, flow);
+        if ctx.tracing_enabled() {
+            ctx.emit_span(SpanKind::FlowStarted {
+                flow: flow_id,
+                object: object.as_raw(),
+                kind: kind.trace(),
+            });
+        }
+        if kind == MgrKind::Update {
+            Self::trace_step(ctx, flow_id, Step::Apply);
+        }
+        self.enter(ctx, flow_id);
+    }
+
+    /// Issues the single effect of the step the flow is at: an RPC to the
+    /// object, the binding agent or the vault, or the spawn timer.
+    fn enter(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
+        let Some(flow) = self.flows.get(&flow_id) else {
+            return;
+        };
+        let (step, object) = (flow.step, flow.object);
+        let rpc = match step {
+            Step::Spawn => {
+                // DCDO process creation: base spawn cost only — the function
+                // "linking" happens per component during incorporation.
                 let token = ctx.fresh_u64();
-                self.retry_updates
-                    .insert(token, (flow.object, flow.version.clone(), flow.retries + 1));
-                ctx.schedule_timer(dcdo_sim::SimDuration::from_secs(1), token);
+                self.timer_routes.insert(token, flow_id);
+                ctx.schedule_timer(self.cost.process_spawn_base, token);
                 return;
             }
-            if let Some((reply_to, call)) = flow.reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(why)),
+            Step::Capture => Some((object, ControlOp::new(CaptureState))),
+            Step::Deactivate => Some((object, ControlOp::new(Deactivate))),
+            Step::Unregister => Some((
+                self.agent.object,
+                ControlOp::new(UnregisterBinding { object }),
+            )),
+            Step::Register => flow.new_actor.map(|address| {
+                (
+                    self.agent.object,
+                    ControlOp::new(RegisterBinding { object, address }),
+                )
+            }),
+            Step::Apply => self.store.get(&flow.version).map(|entry| {
+                let descriptor = entry.descriptor.clone();
+                (object, ControlOp::new(ApplyDfmDescriptor { descriptor }))
+            }),
+            Step::Restore => flow
+                .state
+                .clone()
+                .map(|bytes| (object, ControlOp::new(RestoreState { bytes }))),
+            Step::SaveVault => self.vault.zip(flow.state.clone()).map(|(vault, bytes)| {
+                let save = SaveState {
+                    owner: object,
+                    bytes,
+                };
+                (vault, ControlOp::new(save))
+            }),
+            Step::LoadVault => self
+                .vault
+                .map(|vault| (vault, ControlOp::new(LoadState { owner: object }))),
+        };
+        match rpc {
+            Some((target, op)) => {
+                let call = self.rpc.control(ctx, target, op);
+                self.rpc_routes.insert(call.as_raw(), flow_id);
+            }
+            None => self.fail_flow(ctx, flow_id, format!("step {step:?} has no input")),
+        }
+    }
+
+    /// The one transition point of every lifecycle flow: `outcome` ended
+    /// the step the flow is at. Keeps what the step returned (captured
+    /// state, loaded snapshot, spawned process), then enters the next step
+    /// of the kind's plan, finishes the flow or fails it.
+    fn advance(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, outcome: Outcome) {
+        let Some(flow) = self.flows.get_mut(&flow_id) else {
+            return;
+        };
+        let (kind, step) = (flow.kind, flow.step);
+        let kept = match outcome {
+            Outcome::SpawnTimer if step != Step::Spawn => return,
+            Outcome::SpawnTimer => match self.hosts.entry(flow.target_node) {
+                Some(host) => {
+                    let seed = ctx.rng().fork_seed();
+                    let dcdo = DcdoObject::new(
+                        flow.object,
+                        self.object,
+                        host.object,
+                        host.arch,
+                        // The DCDO starts empty at the root; ApplyDfmDescriptor
+                        // brings it to the flow's version.
+                        VersionId::root(),
+                        self.cost.clone(),
+                        RpcClient::new(self.agent, self.cost.clone()),
+                        seed,
+                    );
+                    let actor = ctx.spawn(flow.target_node, Box::new(dcdo));
+                    ctx.metrics().incr("manager.dcdos_created");
+                    flow.new_actor = Some(actor);
+                    // Address the new process directly until the binding is
+                    // registered.
+                    self.rpc.seed_binding(flow.object, actor);
+                    Ok(())
+                }
+                None => Err(format!("unknown node {}", flow.target_node)),
+            },
+            Outcome::Reply(Err(fault)) => Err(format!("step {step:?} failed: {fault}")),
+            Outcome::Reply(Ok(payload)) => Self::absorb(ctx, flow, &payload),
+        };
+        if let Err(why) = kept {
+            self.fail_flow(ctx, flow_id, why);
+            return;
+        }
+        match next_step(kind, step, flow.state.is_some()) {
+            Some(next) => {
+                flow.step = next;
+                Self::trace_step(ctx, flow_id, next);
+                self.enter(ctx, flow_id);
+            }
+            None => self.finish_flow(ctx, flow_id),
+        }
+    }
+
+    /// Keeps what a finished RPC step returned: the captured state, or the
+    /// vault snapshot (without one, a recovery restarts fresh).
+    fn absorb(
+        ctx: &mut Ctx<'_, Msg>,
+        flow: &mut MgrFlow,
+        payload: &ReplyPayload,
+    ) -> Result<(), String> {
+        match flow.step {
+            Step::Spawn => Err(format!("unexpected reply in {:?}/Spawn", flow.kind)),
+            Step::Capture => {
+                let blob = payload.control_as::<StateBlob>();
+                flow.state = Some(blob.ok_or("capture returned no state")?.bytes.clone());
+                Ok(())
+            }
+            Step::LoadVault => {
+                let loaded = payload.control_as::<LoadedState>();
+                flow.state = loaded.and_then(|l| l.bytes.clone());
+                if flow.state.is_none() {
+                    ctx.metrics().incr("manager.recoveries_without_snapshot");
+                }
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn fail_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, why: String) {
+        let Some(flow) = self.flows.remove(&flow_id) else {
+            return;
+        };
+        ctx.metrics().incr("manager.flows_failed");
+        if ctx.tracing_enabled() {
+            ctx.emit_span(SpanKind::FlowAborted { flow: flow_id });
+        }
+        if flow.kind == MgrKind::Update {
+            self.release_update_slot(ctx, flow.object);
+        }
+        // Supervised internal updates (proactive pushes) are retried: a
+        // lost reply must not strand an instance behind the current
+        // version.
+        if flow.kind == MgrKind::Update && flow.reply.is_none() && flow.retries < 5 {
+            ctx.metrics().incr("manager.update_retries");
+            let token = ctx.fresh_u64();
+            self.retry_updates
+                .insert(token, (flow.object, flow.version, flow.retries + 1));
+            ctx.schedule_timer(dcdo_sim::SimDuration::from_secs(1), token);
+            return;
+        }
+        refuse(ctx, flow.reply, why);
+    }
+
+    /// Commits a flow whose plan ran to the end: updates the DCDO table,
+    /// records its metrics and answers the caller.
+    fn finish_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
+        let Some(flow) = self.flows.remove(&flow_id) else {
+            return;
+        };
+        if ctx.tracing_enabled() {
+            ctx.emit_span(SpanKind::FlowCompleted { flow: flow_id });
+        }
+        let elapsed = ctx.now().duration_since(flow.started);
+        let MgrFlow {
+            kind,
+            reply,
+            object,
+            version,
+            target_node: node,
+            state,
+            new_actor,
+            ..
+        } = flow;
+        let result = match (kind, new_actor) {
+            (MgrKind::Create, Some(address)) => {
+                let impl_type = self
+                    .store
+                    .get(&version)
+                    .map(|e| e.descriptor.implementation_type())
+                    .unwrap_or_default();
+                self.table.insert(
+                    object,
+                    DcdoInfo {
+                        actor: address,
+                        node,
+                        version: version.clone(),
+                        impl_type,
+                        parked_state: None,
+                        crashed: false,
                     },
                 );
+                ctx.metrics()
+                    .sample_duration("manager.create_time", elapsed);
+                Ok(ControlOp::new(DcdoCreated {
+                    object,
+                    address,
+                    version,
+                }))
             }
-        }
+            (MgrKind::Update, _) => {
+                let impl_type = self
+                    .store
+                    .get(&version)
+                    .map(|e| e.descriptor.implementation_type());
+                if let Some(info) = self.table.get_mut(&object) {
+                    info.version = version.clone();
+                    if let Some(t) = impl_type {
+                        info.impl_type = t;
+                    }
+                }
+                self.release_update_slot(ctx, object);
+                ctx.metrics().incr("manager.updates_done");
+                ctx.metrics()
+                    .sample_duration("manager.update_time", elapsed);
+                Ok(ControlOp::new(UpdateDone { object, version }))
+            }
+            (MgrKind::Migrate, Some(address)) => {
+                if let Some(info) = self.table.get_mut(&object) {
+                    info.actor = address;
+                    info.node = node;
+                }
+                ctx.metrics().incr("manager.migrations_done");
+                ctx.metrics()
+                    .sample_duration("manager.migrate_time", elapsed);
+                Ok(ControlOp::new(MigrateDone {
+                    object,
+                    address,
+                    version,
+                }))
+            }
+            (MgrKind::Deactivate, _) => {
+                if let Some(info) = self.table.get_mut(&object) {
+                    info.parked_state = state;
+                }
+                ctx.metrics().incr("manager.deactivations");
+                Ok(ControlOp::new(Ack))
+            }
+            (MgrKind::Activate, Some(address)) => {
+                if let Some(info) = self.table.get_mut(&object) {
+                    info.actor = address;
+                    info.node = node;
+                    info.parked_state = None;
+                }
+                ctx.metrics().incr("manager.activations");
+                ctx.metrics()
+                    .sample_duration("manager.activate_time", elapsed);
+                Ok(ControlOp::new(DcdoCreated {
+                    object,
+                    address,
+                    version,
+                }))
+            }
+            (MgrKind::Checkpoint, _) => {
+                ctx.metrics().incr("manager.checkpoints");
+                ctx.metrics()
+                    .sample_duration("manager.checkpoint_time", elapsed);
+                Ok(ControlOp::new(DcdoCheckpointed { object, version }))
+            }
+            (MgrKind::Recover, Some(address)) => {
+                if let Some(info) = self.table.get_mut(&object) {
+                    info.actor = address;
+                    info.node = node;
+                    info.crashed = false;
+                }
+                ctx.metrics().incr("manager.recoveries");
+                ctx.metrics()
+                    .sample_duration("manager.recover_time", elapsed);
+                // Resume the reconfiguration the crash interrupted, if any.
+                if let Some(target) = self.interrupted_updates.remove(&object) {
+                    self.start_update(ctx, None, object, Some(target), 0);
+                }
+                // Recoveries are internal: there is no caller to answer.
+                return;
+            }
+            // Every plan that needs a process spawns one before it ends.
+            (kind, None) => Err(InvocationFault::Refused(format!(
+                "{kind:?} flow ended without a process"
+            ))),
+        };
+        answer(ctx, reply, result);
     }
 
     fn start_create(
@@ -513,311 +829,29 @@ impl DcdoManager {
         call: CallId,
         node: NodeId,
     ) {
+        let reply = Some((reply_to, call));
         let version = self.current.clone();
-        let Some(entry) = self.store.get(&version) else {
-            ctx.send(
-                reply_to,
-                Msg::ControlReply {
-                    call,
-                    result: Err(InvocationFault::Refused(
-                        ConfigError::UnknownVersion(version).to_string(),
-                    )),
-                },
-            );
-            return;
-        };
-        if !entry.instantiable {
-            ctx.send(
-                reply_to,
-                Msg::ControlReply {
-                    call,
-                    result: Err(InvocationFault::Refused(
-                        ConfigError::VersionNotInstantiable(version).to_string(),
-                    )),
-                },
-            );
-            return;
-        }
-        if !self.hosts.contains(node) {
-            ctx.send(
-                reply_to,
-                Msg::ControlReply {
-                    call,
-                    result: Err(InvocationFault::Refused(format!("unknown node {node}"))),
-                },
-            );
-            return;
+        match self.store.get(&version) {
+            None => return refuse(ctx, reply, ConfigError::UnknownVersion(version).to_string()),
+            Some(entry) if !entry.instantiable => {
+                let why = ConfigError::VersionNotInstantiable(version).to_string();
+                return refuse(ctx, reply, why);
+            }
+            Some(_) if !self.hosts.contains(node) => {
+                return refuse(ctx, reply, format!("unknown node {node}"));
+            }
+            Some(_) => {}
         }
         ctx.send(reply_to, Msg::Progress { call });
         let flow_id = ctx.fresh_u64();
         let object = ObjectId::from_raw(ctx.fresh_u64());
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind: MgrKind::Create,
-                reply: Some((reply_to, call)),
-                object,
-                version,
-                target_node: node,
-                state: None,
-                new_actor: None,
-                step: MgrStep::Spawn,
-                started: ctx.now(),
-                retries: 0,
-            },
-        );
-        self.trace_flow_started(ctx, flow_id);
-        // DCDO process creation: base spawn cost only — the function
-        // "linking" happens per component during incorporation.
-        let delay = self.cost.process_spawn_base;
-        self.schedule_flow_timer(ctx, flow_id, delay);
+        let flow = MgrFlow::new(MgrKind::Create, reply, object, version, node);
+        self.open_flow(ctx, flow_id, flow);
     }
 
-    fn spawn_dcdo(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let (node, object, kind) = {
-            let flow = &self.flows[&flow_id];
-            (flow.target_node, flow.object, flow.kind)
-        };
-        let entry = self.hosts.entry(node).expect("node checked at start");
-        let seed = ctx.rng().fork_seed();
-        let dcdo = DcdoObject::new(
-            object,
-            self.object,
-            entry.object,
-            entry.arch,
-            // The DCDO starts empty at the root; ApplyDfmDescriptor brings
-            // it to the flow's version.
-            VersionId::root(),
-            self.cost.clone(),
-            RpcClient::new(self.agent, self.cost.clone()),
-            seed,
-        );
-        let actor = ctx.spawn(node, Box::new(dcdo));
-        ctx.metrics().incr("manager.dcdos_created");
-        {
-            let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-            flow.new_actor = Some(actor);
-        }
-        // Address the new process directly until the binding is registered.
-        self.rpc.seed_binding(object, actor);
-        match kind {
-            MgrKind::Create => {
-                self.flows.get_mut(&flow_id).expect("flow exists").step = MgrStep::Register;
-                Self::trace_step(ctx, flow_id, MgrStep::Register);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    self.agent.object,
-                    ControlOp::new(RegisterBinding {
-                        object,
-                        address: actor,
-                    }),
-                );
-            }
-            MgrKind::Migrate | MgrKind::Activate | MgrKind::Recover => {
-                // Bring the new process to the instance's version first.
-                self.begin_apply(ctx, flow_id);
-            }
-            MgrKind::Update | MgrKind::Deactivate | MgrKind::Checkpoint => {
-                unreachable!("these flows do not spawn processes")
-            }
-        }
-    }
-
-    fn begin_apply(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let (object, version) = {
-            let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-            flow.step = MgrStep::Apply;
-            (flow.object, flow.version.clone())
-        };
-        Self::trace_step(ctx, flow_id, MgrStep::Apply);
-        let descriptor = self.store[&version].descriptor.clone();
-        self.rpc_step(
-            ctx,
-            flow_id,
-            object,
-            ControlOp::new(ApplyDfmDescriptor { descriptor }),
-        );
-    }
-
-    fn finish_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let flow = self.flows.remove(&flow_id).expect("flow exists");
-        if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowCompleted { flow: flow_id });
-        }
-        let elapsed = ctx.now().duration_since(flow.started);
-        match flow.kind {
-            MgrKind::Create => {
-                let address = flow.new_actor.expect("spawned");
-                let impl_type = self
-                    .store
-                    .get(&flow.version)
-                    .map(|e| e.descriptor.implementation_type())
-                    .unwrap_or_default();
-                self.table.insert(
-                    flow.object,
-                    DcdoInfo {
-                        actor: address,
-                        node: flow.target_node,
-                        version: flow.version.clone(),
-                        impl_type,
-                        parked_state: None,
-                        crashed: false,
-                    },
-                );
-                ctx.metrics()
-                    .sample_duration("manager.create_time", elapsed);
-                if let Some((reply_to, call)) = flow.reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(DcdoCreated {
-                                object: flow.object,
-                                address,
-                                version: flow.version,
-                            })),
-                        },
-                    );
-                }
-            }
-            MgrKind::Update => {
-                let impl_type = self
-                    .store
-                    .get(&flow.version)
-                    .map(|e| e.descriptor.implementation_type());
-                if let Some(info) = self.table.get_mut(&flow.object) {
-                    info.version = flow.version.clone();
-                    if let Some(t) = impl_type {
-                        info.impl_type = t;
-                    }
-                }
-                self.release_update_slot(ctx, flow.object);
-                ctx.metrics().incr("manager.updates_done");
-                ctx.metrics()
-                    .sample_duration("manager.update_time", elapsed);
-                if let Some((reply_to, call)) = flow.reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(UpdateDone {
-                                object: flow.object,
-                                version: flow.version,
-                            })),
-                        },
-                    );
-                }
-            }
-            MgrKind::Migrate => {
-                let address = flow.new_actor.expect("spawned");
-                if let Some(info) = self.table.get_mut(&flow.object) {
-                    info.actor = address;
-                    info.node = flow.target_node;
-                }
-                ctx.metrics().incr("manager.migrations_done");
-                ctx.metrics()
-                    .sample_duration("manager.migrate_time", elapsed);
-                if let Some((reply_to, call)) = flow.reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(MigrateDone {
-                                object: flow.object,
-                                address,
-                                version: flow.version,
-                            })),
-                        },
-                    );
-                }
-            }
-            MgrKind::Deactivate => {
-                if let Some(info) = self.table.get_mut(&flow.object) {
-                    info.parked_state = Some(flow.state.clone().expect("state captured"));
-                }
-                ctx.metrics().incr("manager.deactivations");
-                if let Some((reply_to, call)) = flow.reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(Ack)),
-                        },
-                    );
-                }
-            }
-            MgrKind::Activate => {
-                let address = flow.new_actor.expect("spawned");
-                if let Some(info) = self.table.get_mut(&flow.object) {
-                    info.actor = address;
-                    info.node = flow.target_node;
-                    info.parked_state = None;
-                }
-                ctx.metrics().incr("manager.activations");
-                ctx.metrics()
-                    .sample_duration("manager.activate_time", elapsed);
-                if let Some((reply_to, call)) = flow.reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(DcdoCreated {
-                                object: flow.object,
-                                address,
-                                version: flow.version,
-                            })),
-                        },
-                    );
-                }
-            }
-            MgrKind::Checkpoint => {
-                ctx.metrics().incr("manager.checkpoints");
-                ctx.metrics()
-                    .sample_duration("manager.checkpoint_time", elapsed);
-                if let Some((reply_to, call)) = flow.reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(DcdoCheckpointed {
-                                object: flow.object,
-                                version: flow.version,
-                            })),
-                        },
-                    );
-                }
-            }
-            MgrKind::Recover => {
-                let address = flow.new_actor.expect("spawned");
-                if let Some(info) = self.table.get_mut(&flow.object) {
-                    info.actor = address;
-                    info.node = flow.target_node;
-                    info.crashed = false;
-                }
-                ctx.metrics().incr("manager.recoveries");
-                ctx.metrics()
-                    .sample_duration("manager.recover_time", elapsed);
-                // Resume the reconfiguration the crash interrupted, if any.
-                if let Some(target) = self.interrupted_updates.remove(&flow.object) {
-                    self.start_update(ctx, None, flow.object, Some(target));
-                }
-            }
-        }
-    }
-
+    /// Starts (or queues) an update of `object` to `to`, or to the current
+    /// version. `retries` counts the push attempts already burned.
     fn start_update(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        reply: Option<(ActorId, CallId)>,
-        object: ObjectId,
-        to: Option<VersionId>,
-    ) {
-        self.start_update_with_retries(ctx, reply, object, to, 0);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_update_with_retries(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         reply: Option<(ActorId, CallId)>,
@@ -832,19 +866,11 @@ impl DcdoManager {
                 // otherwise apply a pre-epoch target post-commit).
                 gate.refused_while_fenced += 1;
                 ctx.metrics().incr("manager.group_fence_refusals");
-                if let Some((reply_to, call)) = reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::Refused(format!(
-                                "group {} epoch {} is fencing evolution",
-                                gate.group, gate.epoch
-                            ))),
-                        },
-                    );
-                }
-                return;
+                let why = format!(
+                    "group {} epoch {} is fencing evolution",
+                    gate.group, gate.epoch
+                );
+                return refuse(ctx, reply, why);
             }
         }
         if self.updates_in_flight.contains(&object) {
@@ -859,24 +885,11 @@ impl DcdoManager {
             return;
         }
         let target = to.unwrap_or_else(|| self.current.clone());
-        let refuse = |ctx: &mut Ctx<'_, Msg>, why: String| {
-            if let Some((reply_to, call)) = reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(why)),
-                    },
-                );
-            }
-        };
         let Some(info) = self.table.get(&object) else {
-            refuse(ctx, format!("unknown instance {object}"));
-            return;
+            return refuse(ctx, reply, format!("unknown instance {object}"));
         };
         if info.parked_state.is_some() {
-            refuse(ctx, format!("instance {object} is deactivated"));
-            return;
+            return refuse(ctx, reply, format!("instance {object} is deactivated"));
         }
         if info.crashed {
             // Internal pushes are remembered and resumed after recovery so
@@ -884,52 +897,26 @@ impl DcdoManager {
             if reply.is_none() {
                 self.interrupted_updates.insert(object, target.clone());
             }
-            refuse(ctx, format!("instance {object} host crashed"));
-            return;
+            return refuse(ctx, reply, format!("instance {object} host crashed"));
         }
         if info.version == target {
             // Already there: answer immediately.
-            if let Some((reply_to, call)) = reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Ok(ControlOp::new(UpdateDone {
-                            object,
-                            version: target,
-                        })),
-                    },
-                );
-            }
-            return;
+            let done = UpdateDone {
+                object,
+                version: target,
+            };
+            return answer(ctx, reply, Ok(ControlOp::new(done)));
         }
         if let Err(e) = self.evolution_allowed(&info.version, &target) {
             ctx.metrics().incr("manager.updates_refused");
-            refuse(ctx, e.to_string());
-            return;
+            return refuse(ctx, reply, e.to_string());
         }
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
-        let flow_id = ctx.fresh_u64();
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind: MgrKind::Update,
-                reply,
-                object,
-                version: target,
-                target_node: info.node,
-                state: None,
-                new_actor: Some(info.actor),
-                step: MgrStep::Apply,
-                started: ctx.now(),
-                retries,
-            },
-        );
-        self.trace_flow_started(ctx, flow_id);
+        let flow = MgrFlow {
+            retries,
+            ..MgrFlow::new(MgrKind::Update, reply, object, target, info.node)
+        };
         self.updates_in_flight.insert(object);
-        self.begin_apply(ctx, flow_id);
+        self.launch(ctx, flow);
     }
 
     /// Migrates a DCDO to another node: capture state, deactivate the old
@@ -945,46 +932,14 @@ impl DcdoManager {
         object: ObjectId,
         to: NodeId,
     ) {
-        let refuse = |ctx: &mut Ctx<'_, Msg>, why: String| {
-            if let Some((reply_to, call)) = reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(why)),
-                    },
-                );
-            }
-        };
-        let Some(info) = self.table.get(&object).cloned() else {
-            refuse(ctx, format!("unknown instance {object}"));
-            return;
+        let Some(info) = self.table.get(&object) else {
+            return refuse(ctx, reply, format!("unknown instance {object}"));
         };
         if !self.hosts.contains(to) {
-            refuse(ctx, format!("unknown node {to}"));
-            return;
+            return refuse(ctx, reply, format!("unknown node {to}"));
         }
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
-        let flow_id = ctx.fresh_u64();
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind: MgrKind::Migrate,
-                reply,
-                object,
-                version: info.version.clone(),
-                target_node: to,
-                state: None,
-                new_actor: None,
-                step: MgrStep::Capture,
-                started: ctx.now(),
-                retries: 0,
-            },
-        );
-        self.trace_flow_started(ctx, flow_id);
-        self.rpc_step(ctx, flow_id, object, ControlOp::new(CaptureState));
+        let flow = MgrFlow::new(MgrKind::Migrate, reply, object, info.version.clone(), to);
+        self.launch(ctx, flow);
     }
 
     fn start_deactivate(
@@ -993,46 +948,18 @@ impl DcdoManager {
         reply: Option<(ActorId, CallId)>,
         object: ObjectId,
     ) {
-        let refuse = |ctx: &mut Ctx<'_, Msg>, why: String| {
-            if let Some((reply_to, call)) = reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(why)),
-                    },
-                );
-            }
-        };
-        let Some(info) = self.table.get(&object).cloned() else {
-            refuse(ctx, format!("unknown instance {object}"));
-            return;
+        let Some(info) = self.table.get(&object) else {
+            return refuse(ctx, reply, format!("unknown instance {object}"));
         };
         if info.parked_state.is_some() {
-            refuse(ctx, format!("instance {object} is already deactivated"));
-            return;
+            let why = format!("instance {object} is already deactivated");
+            return refuse(ctx, reply, why);
         }
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
-        let flow_id = ctx.fresh_u64();
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind: MgrKind::Deactivate,
-                reply,
-                object,
-                version: info.version.clone(),
-                target_node: info.node,
-                state: None,
-                new_actor: None,
-                step: MgrStep::Capture,
-                started: ctx.now(),
-                retries: 0,
-            },
+        let (version, node) = (info.version.clone(), info.node);
+        self.launch(
+            ctx,
+            MgrFlow::new(MgrKind::Deactivate, reply, object, version, node),
         );
-        self.trace_flow_started(ctx, flow_id);
-        self.rpc_step(ctx, flow_id, object, ControlOp::new(CaptureState));
     }
 
     fn start_activate(
@@ -1042,52 +969,22 @@ impl DcdoManager {
         object: ObjectId,
         node: Option<NodeId>,
     ) {
-        let refuse = |ctx: &mut Ctx<'_, Msg>, why: String| {
-            if let Some((reply_to, call)) = reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(why)),
-                    },
-                );
-            }
+        let Some(info) = self.table.get(&object) else {
+            return refuse(ctx, reply, format!("unknown instance {object}"));
         };
-        let Some(info) = self.table.get(&object).cloned() else {
-            refuse(ctx, format!("unknown instance {object}"));
-            return;
-        };
-        let Some(state) = info.parked_state else {
-            refuse(ctx, format!("instance {object} is not deactivated"));
-            return;
+        let Some(state) = info.parked_state.clone() else {
+            return refuse(ctx, reply, format!("instance {object} is not deactivated"));
         };
         let target_node = node.unwrap_or(info.node);
         if !self.hosts.contains(target_node) {
-            refuse(ctx, format!("unknown node {target_node}"));
-            return;
+            return refuse(ctx, reply, format!("unknown node {target_node}"));
         }
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
-        let flow_id = ctx.fresh_u64();
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind: MgrKind::Activate,
-                reply,
-                object,
-                version: info.version.clone(),
-                target_node,
-                state: Some(state),
-                new_actor: None,
-                step: MgrStep::Spawn,
-                started: ctx.now(),
-                retries: 0,
-            },
-        );
-        self.trace_flow_started(ctx, flow_id);
-        let delay = self.cost.process_spawn_base;
-        self.schedule_flow_timer(ctx, flow_id, delay);
+        let version = info.version.clone();
+        let flow = MgrFlow {
+            state: Some(state),
+            ..MgrFlow::new(MgrKind::Activate, reply, object, version, target_node)
+        };
+        self.launch(ctx, flow);
     }
 
     /// Checkpoint: capture the running instance's state and persist it in
@@ -1099,54 +996,23 @@ impl DcdoManager {
         reply: Option<(ActorId, CallId)>,
         object: ObjectId,
     ) {
-        let refuse = |ctx: &mut Ctx<'_, Msg>, why: String| {
-            if let Some((reply_to, call)) = reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(why)),
-                    },
-                );
-            }
-        };
         if self.vault.is_none() {
-            refuse(ctx, "manager has no vault configured".into());
-            return;
+            return refuse(ctx, reply, "manager has no vault configured".into());
         }
-        let Some(info) = self.table.get(&object).cloned() else {
-            refuse(ctx, format!("unknown instance {object}"));
-            return;
+        let Some(info) = self.table.get(&object) else {
+            return refuse(ctx, reply, format!("unknown instance {object}"));
         };
         if info.parked_state.is_some() {
-            refuse(ctx, format!("instance {object} is deactivated"));
-            return;
+            return refuse(ctx, reply, format!("instance {object} is deactivated"));
         }
         if info.crashed {
-            refuse(ctx, format!("instance {object} host crashed"));
-            return;
+            return refuse(ctx, reply, format!("instance {object} host crashed"));
         }
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
-        let flow_id = ctx.fresh_u64();
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind: MgrKind::Checkpoint,
-                reply,
-                object,
-                version: info.version.clone(),
-                target_node: info.node,
-                state: None,
-                new_actor: None,
-                step: MgrStep::Capture,
-                started: ctx.now(),
-                retries: 0,
-            },
+        let (version, node) = (info.version.clone(), info.node);
+        self.launch(
+            ctx,
+            MgrFlow::new(MgrKind::Checkpoint, reply, object, version, node),
         );
-        self.trace_flow_started(ctx, flow_id);
-        self.rpc_step(ctx, flow_id, object, ControlOp::new(CaptureState));
     }
 
     /// A host crashed: mark resident instances crashed and abort every
@@ -1177,7 +1043,9 @@ impl DcdoManager {
         doomed.sort_unstable();
         let mut aborted: Vec<ObjectId> = Vec::new();
         for flow_id in doomed {
-            let flow = self.flows.remove(&flow_id).expect("doomed flow exists");
+            let Some(flow) = self.flows.remove(&flow_id) else {
+                continue;
+            };
             ctx.metrics().incr("manager.flows_aborted");
             if ctx.tracing_enabled() {
                 ctx.emit_span(SpanKind::FlowAborted { flow: flow_id });
@@ -1190,39 +1058,19 @@ impl DcdoManager {
                         .insert(flow.object, flow.version.clone());
                 }
             }
-            if let Some((reply_to, fcall)) = flow.reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call: fcall,
-                        result: Err(InvocationFault::Refused(format!(
-                            "node {node} failed mid-{:?}",
-                            flow.kind
-                        ))),
-                    },
-                );
-            }
+            let why = format!("node {node} failed mid-{:?}", flow.kind);
+            refuse(ctx, flow.reply, why);
         }
         // Queued updates behind an aborted flow cannot run while the
         // instance is down: refuse explicit ones, remember internal ones.
         for object in &crashed {
-            if let Some(queue) = self.queued_updates.remove(object) {
-                for (reply, to, _) in queue {
-                    match reply {
-                        Some((reply_to, qcall)) => ctx.send(
-                            reply_to,
-                            Msg::ControlReply {
-                                call: qcall,
-                                result: Err(InvocationFault::Refused(format!(
-                                    "node {node} failed before queued update ran"
-                                ))),
-                            },
-                        ),
-                        None => {
-                            let target = to.unwrap_or_else(|| self.current.clone());
-                            self.interrupted_updates.insert(*object, target);
-                        }
-                    }
+            for (reply, to, _) in self.queued_updates.remove(object).unwrap_or_default() {
+                if reply.is_some() {
+                    let why = format!("node {node} failed before queued update ran");
+                    refuse(ctx, reply, why);
+                } else {
+                    let target = to.unwrap_or_else(|| self.current.clone());
+                    self.interrupted_updates.insert(*object, target);
                 }
             }
         }
@@ -1230,13 +1078,8 @@ impl DcdoManager {
         aborted.dedup();
         ctx.metrics()
             .add("manager.instances_crashed", crashed.len() as u64);
-        ctx.send(
-            from,
-            Msg::ControlReply {
-                call,
-                result: Ok(ControlOp::new(NodeFailureReport { crashed, aborted })),
-            },
-        );
+        let report = NodeFailureReport { crashed, aborted };
+        answer(ctx, Some((from, call)), Ok(ControlOp::new(report)));
     }
 
     /// A crashed host is back: rebuild every crashed instance that lived
@@ -1249,54 +1092,24 @@ impl DcdoManager {
         call: CallId,
         node: NodeId,
     ) {
+        let reply = Some((from, call));
         if self.vault.is_none() {
-            ctx.send(
-                from,
-                Msg::ControlReply {
-                    call,
-                    result: Err(InvocationFault::Refused(
-                        "manager has no vault configured".into(),
-                    )),
-                },
-            );
-            return;
+            return refuse(ctx, reply, "manager has no vault configured".into());
         }
-        let mut objects: Vec<ObjectId> = self
+        let mut crashed: Vec<(ObjectId, VersionId)> = self
             .table
             .iter()
             .filter(|(_, i)| i.node == node && i.crashed)
-            .map(|(o, _)| *o)
+            .map(|(o, i)| (*o, i.version.clone()))
             .collect();
-        objects.sort_unstable();
-        for &object in &objects {
-            let version = self.table[&object].version.clone();
+        crashed.sort_unstable_by_key(|(o, _)| *o);
+        let objects = crashed.iter().map(|(o, _)| *o).collect();
+        for (object, version) in crashed {
             ctx.metrics().incr("manager.recoveries_started");
-            let flow_id = ctx.fresh_u64();
-            self.flows.insert(
-                flow_id,
-                MgrFlow {
-                    kind: MgrKind::Recover,
-                    reply: None,
-                    object,
-                    version,
-                    target_node: node,
-                    state: None,
-                    new_actor: None,
-                    step: MgrStep::Spawn,
-                    started: ctx.now(),
-                    retries: 0,
-                },
-            );
-            self.trace_flow_started(ctx, flow_id);
-            self.schedule_flow_timer(ctx, flow_id, self.cost.process_spawn_base);
+            let flow = MgrFlow::new(MgrKind::Recover, None, object, version, node);
+            self.launch(ctx, flow);
         }
-        ctx.send(
-            from,
-            Msg::ControlReply {
-                call,
-                result: Ok(ControlOp::new(RecoveryStarted { objects })),
-            },
-        );
+        answer(ctx, reply, Ok(ControlOp::new(RecoveryStarted { objects })));
     }
 
     fn handle_rpc_completion(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
@@ -1317,244 +1130,11 @@ impl DcdoManager {
                     self.configurable_mut(&version)?
                         .incorporate_component(&reply, Some(ico))
                 });
-            let wire = match result {
-                Ok(()) => Ok(ControlOp::new(Ack)),
-                Err(e) => Err(InvocationFault::Refused(e.to_string())),
-            };
-            ctx.send(reply_to, Msg::ControlReply { call, result: wire });
+            answer(ctx, Some((reply_to, call)), ack_or_refuse(result));
             return;
         }
-        let Some(flow_id) = self.rpc_routes.remove(&completion.call.as_raw()) else {
-            return;
-        };
-        let Some(flow) = self.flows.get(&flow_id) else {
-            return;
-        };
-        let (kind, step) = (flow.kind, flow.step);
-        let payload = match completion.result {
-            Ok(p) => p,
-            Err(fault) => {
-                self.fail_flow(ctx, flow_id, format!("step {step:?} failed: {fault}"));
-                return;
-            }
-        };
-        match (kind, step) {
-            // Create: Spawn(timer) -> Register -> Apply -> done.
-            (MgrKind::Create, MgrStep::Register) => self.begin_apply(ctx, flow_id),
-            (MgrKind::Create, MgrStep::Apply) => self.finish_flow(ctx, flow_id),
-            // Update: Apply -> done.
-            (MgrKind::Update, MgrStep::Apply) => self.finish_flow(ctx, flow_id),
-            // Migrate: Capture -> Deactivate -> Spawn(timer) -> Apply ->
-            // Restore -> Register -> done.
-            (MgrKind::Migrate, MgrStep::Capture) => {
-                let Some(blob) = payload.control_as::<StateBlob>().map(|b| b.bytes.clone()) else {
-                    self.fail_flow(ctx, flow_id, "capture returned no state".into());
-                    return;
-                };
-                let object = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.state = Some(blob);
-                    flow.step = MgrStep::Deactivate;
-                    flow.object
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Deactivate);
-                self.rpc_step(ctx, flow_id, object, ControlOp::new(Deactivate));
-            }
-            (MgrKind::Migrate, MgrStep::Deactivate) => {
-                self.flows.get_mut(&flow_id).expect("flow exists").step = MgrStep::Spawn;
-                Self::trace_step(ctx, flow_id, MgrStep::Spawn);
-                let delay = self.cost.process_spawn_base;
-                self.schedule_flow_timer(ctx, flow_id, delay);
-            }
-            (MgrKind::Migrate, MgrStep::Apply) => {
-                let (object, state) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::Restore;
-                    (flow.object, flow.state.clone().expect("state captured"))
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Restore);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    object,
-                    ControlOp::new(RestoreState { bytes: state }),
-                );
-            }
-            (MgrKind::Migrate, MgrStep::Restore) => {
-                let (object, address) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::Register;
-                    (flow.object, flow.new_actor.expect("spawned"))
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Register);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    self.agent.object,
-                    ControlOp::new(RegisterBinding { object, address }),
-                );
-            }
-            (MgrKind::Migrate, MgrStep::Register) => self.finish_flow(ctx, flow_id),
-            // Deactivate: Capture -> Deactivate -> Unregister -> done.
-            (MgrKind::Deactivate, MgrStep::Capture) => {
-                let Some(blob) = payload.control_as::<StateBlob>().map(|b| b.bytes.clone()) else {
-                    self.fail_flow(ctx, flow_id, "capture returned no state".into());
-                    return;
-                };
-                let object = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.state = Some(blob);
-                    flow.step = MgrStep::Deactivate;
-                    flow.object
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Deactivate);
-                self.rpc_step(ctx, flow_id, object, ControlOp::new(Deactivate));
-            }
-            (MgrKind::Deactivate, MgrStep::Deactivate) => {
-                let object = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::Unregister;
-                    flow.object
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Unregister);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    self.agent.object,
-                    ControlOp::new(UnregisterBinding { object }),
-                );
-            }
-            (MgrKind::Deactivate, MgrStep::Unregister) => self.finish_flow(ctx, flow_id),
-            // Activate: Spawn(timer) -> Apply -> Restore -> Register -> done.
-            (MgrKind::Activate, MgrStep::Apply) => {
-                let (object, state) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::Restore;
-                    (flow.object, flow.state.clone().expect("state parked"))
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Restore);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    object,
-                    ControlOp::new(RestoreState { bytes: state }),
-                );
-            }
-            (MgrKind::Activate, MgrStep::Restore) => {
-                let (object, address) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::Register;
-                    (flow.object, flow.new_actor.expect("spawned"))
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Register);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    self.agent.object,
-                    ControlOp::new(RegisterBinding { object, address }),
-                );
-            }
-            (MgrKind::Activate, MgrStep::Register) => self.finish_flow(ctx, flow_id),
-            // Checkpoint: Capture -> SaveVault -> done (process untouched).
-            (MgrKind::Checkpoint, MgrStep::Capture) => {
-                let Some(blob) = payload.control_as::<StateBlob>().map(|b| b.bytes.clone()) else {
-                    self.fail_flow(ctx, flow_id, "capture returned no state".into());
-                    return;
-                };
-                let (object, vault) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.state = Some(blob.clone());
-                    flow.step = MgrStep::SaveVault;
-                    (
-                        flow.object,
-                        self.vault.expect("checkpoint requires a vault"),
-                    )
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::SaveVault);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    vault,
-                    ControlOp::new(SaveState {
-                        owner: object,
-                        bytes: blob,
-                    }),
-                );
-            }
-            (MgrKind::Checkpoint, MgrStep::SaveVault) => self.finish_flow(ctx, flow_id),
-            // Recover: Spawn(timer) -> Apply -> LoadVault -> Restore ->
-            // Register -> done (Restore is skipped when no snapshot exists).
-            (MgrKind::Recover, MgrStep::Apply) => {
-                let (object, vault) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::LoadVault;
-                    (flow.object, self.vault.expect("recovery requires a vault"))
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::LoadVault);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    vault,
-                    ControlOp::new(LoadState { owner: object }),
-                );
-            }
-            (MgrKind::Recover, MgrStep::LoadVault) => {
-                let bytes = payload
-                    .control_as::<LoadedState>()
-                    .and_then(|l| l.bytes.clone());
-                if let Some(state) = bytes {
-                    let object = {
-                        let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                        flow.step = MgrStep::Restore;
-                        flow.state = Some(state.clone());
-                        flow.object
-                    };
-                    Self::trace_step(ctx, flow_id, MgrStep::Restore);
-                    self.rpc_step(
-                        ctx,
-                        flow_id,
-                        object,
-                        ControlOp::new(RestoreState { bytes: state }),
-                    );
-                } else {
-                    // No snapshot: the instance restarts fresh at its version.
-                    ctx.metrics().incr("manager.recoveries_without_snapshot");
-                    let (object, address) = {
-                        let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                        flow.step = MgrStep::Register;
-                        (flow.object, flow.new_actor.expect("spawned"))
-                    };
-                    Self::trace_step(ctx, flow_id, MgrStep::Register);
-                    self.rpc_step(
-                        ctx,
-                        flow_id,
-                        self.agent.object,
-                        ControlOp::new(RegisterBinding { object, address }),
-                    );
-                }
-            }
-            (MgrKind::Recover, MgrStep::Restore) => {
-                let (object, address) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::Register;
-                    (flow.object, flow.new_actor.expect("spawned"))
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Register);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    self.agent.object,
-                    ControlOp::new(RegisterBinding { object, address }),
-                );
-            }
-            (MgrKind::Recover, MgrStep::Register) => self.finish_flow(ctx, flow_id),
-            (kind, step) => {
-                self.fail_flow(
-                    ctx,
-                    flow_id,
-                    format!("unexpected reply in {kind:?}/{step:?}"),
-                );
-            }
+        if let Some(flow_id) = self.rpc_routes.remove(&completion.call.as_raw()) {
+            self.advance(ctx, flow_id, Outcome::Reply(completion.result));
         }
     }
 
@@ -1568,15 +1148,8 @@ impl DcdoManager {
         // Incorporation needs an ICO round trip; everything else is local.
         if let VersionConfigOp::IncorporateComponent { ico } = cfg.op {
             // Check the version is configurable before paying the roundtrip.
-            if let Err(e) = self.configurable_mut(&cfg.version).map(|_| ()) {
-                ctx.send(
-                    from,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(e.to_string())),
-                    },
-                );
-                return;
+            if let Err(e) = self.configurable_mut(&cfg.version) {
+                return refuse(ctx, Some((from, call)), e.to_string());
             }
             let rpc_call = self
                 .rpc
@@ -1611,11 +1184,7 @@ impl DcdoManager {
                     visibility,
                 } => d.set_visibility(function, *visibility),
             });
-        let wire = match result {
-            Ok(()) => Ok(ControlOp::new(Ack)),
-            Err(e) => Err(InvocationFault::Refused(e.to_string())),
-        };
-        ctx.send(from, Msg::ControlReply { call, result: wire });
+        answer(ctx, Some((from, call)), ack_or_refuse(result));
     }
 
     fn handle_set_group_epoch(
@@ -1670,7 +1239,7 @@ impl DcdoManager {
                 }))
             }
         };
-        ctx.send(from, Msg::ControlReply { call, result });
+        answer(ctx, Some((from, call)), result);
     }
 
     /// The manager's group enrolment, if any: `(group, epoch, fenced)`.
@@ -1699,7 +1268,7 @@ impl DcdoManager {
             return;
         }
         if let Some(update) = op.as_any().downcast_ref::<UpdateInstance>() {
-            self.start_update(ctx, Some((from, call)), update.object, update.to.clone());
+            self.start_update(ctx, Some((from, call)), update.object, update.to.clone(), 0);
             return;
         }
         if let Some(mig) = op.as_any().downcast_ref::<MigrateDcdo>() {
@@ -1741,10 +1310,7 @@ impl DcdoManager {
                     Err(e) => Err(InvocationFault::Refused(e.to_string())),
                 }
             } else if let Some(mark) = op.as_any().downcast_ref::<MarkInstantiable>() {
-                match self.mark_instantiable(&mark.version) {
-                    Ok(()) => Ok(ControlOp::new(Ack)),
-                    Err(e) => Err(InvocationFault::Refused(e.to_string())),
-                }
+                ack_or_refuse(self.mark_instantiable(&mark.version))
             } else if let Some(set) = op.as_any().downcast_ref::<SetCurrentVersion>() {
                 match self.store.get(&set.version) {
                     Some(entry) if entry.instantiable => {
@@ -1758,7 +1324,7 @@ impl DcdoManager {
                                 .map(|(o, _)| *o)
                                 .collect();
                             for object in instances {
-                                self.start_update(ctx, None, object, None);
+                                self.start_update(ctx, None, object, None, 0);
                             }
                         }
                         Ok(ControlOp::new(Ack))
@@ -1829,7 +1395,7 @@ impl DcdoManager {
                     op.describe()
                 )))
             };
-        ctx.send(from, Msg::ControlReply { call, result });
+        answer(ctx, Some((from, call)), result);
     }
 }
 
@@ -1838,14 +1404,8 @@ impl Actor<Msg> for DcdoManager {
         match msg {
             Msg::Control { call, target, op } => {
                 if target != self.object {
-                    ctx.send(
-                        from,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
-                    );
-                    return;
+                    let fault = InvocationFault::NoSuchObject(target);
+                    return answer(ctx, Some((from, call)), Err(fault));
                 }
                 self.handle_control(ctx, from, call, op);
             }
@@ -1874,17 +1434,11 @@ impl Actor<Msg> for DcdoManager {
             return;
         }
         if let Some((object, version, attempt)) = self.retry_updates.remove(&token) {
-            self.start_update_with_retries(ctx, None, object, Some(version), attempt);
+            self.start_update(ctx, None, object, Some(version), attempt);
             return;
         }
         if let Some(flow_id) = self.timer_routes.remove(&token) {
-            if self
-                .flows
-                .get(&flow_id)
-                .is_some_and(|f| f.step == MgrStep::Spawn)
-            {
-                self.spawn_dcdo(ctx, flow_id);
-            }
+            self.advance(ctx, flow_id, Outcome::SpawnTimer);
         }
     }
 
@@ -1902,5 +1456,103 @@ impl std::fmt::Debug for DcdoManager {
             .field("versions", &self.store.len())
             .field("instances", &self.table.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const KINDS: [MgrKind; 7] = [
+        MgrKind::Create,
+        MgrKind::Update,
+        MgrKind::Migrate,
+        MgrKind::Deactivate,
+        MgrKind::Activate,
+        MgrKind::Checkpoint,
+        MgrKind::Recover,
+    ];
+
+    /// Walks `kind`'s plan through [`next_step`] from its first step.
+    fn walk(kind: MgrKind, had_snapshot: bool) -> Vec<Step> {
+        let mut steps = vec![kind.plan()[0]];
+        while let Some(next) = next_step(kind, steps[steps.len() - 1], had_snapshot) {
+            steps.push(next);
+        }
+        steps
+    }
+
+    #[test]
+    fn next_step_walks_each_plan_in_order() {
+        use Step::*;
+        assert_eq!(walk(MgrKind::Create, true), [Spawn, Register, Apply]);
+        assert_eq!(walk(MgrKind::Update, true), [Apply]);
+        assert_eq!(
+            walk(MgrKind::Migrate, true),
+            [Capture, Deactivate, Spawn, Apply, Restore, Register]
+        );
+        assert_eq!(
+            walk(MgrKind::Deactivate, true),
+            [Capture, Deactivate, Unregister]
+        );
+        assert_eq!(
+            walk(MgrKind::Activate, true),
+            [Spawn, Apply, Restore, Register]
+        );
+        assert_eq!(walk(MgrKind::Checkpoint, true), [Capture, SaveVault]);
+        assert_eq!(
+            walk(MgrKind::Recover, true),
+            [Spawn, Apply, LoadVault, Restore, Register]
+        );
+    }
+
+    #[test]
+    fn a_recovery_without_snapshot_skips_restore() {
+        use Step::*;
+        assert_eq!(
+            next_step(MgrKind::Recover, LoadVault, false),
+            Some(Register)
+        );
+        assert_eq!(next_step(MgrKind::Recover, LoadVault, true), Some(Restore));
+        assert_eq!(
+            walk(MgrKind::Recover, false),
+            [Spawn, Apply, LoadVault, Register]
+        );
+        // The snapshot flag matters only after LoadVault.
+        for kind in KINDS {
+            if kind != MgrKind::Recover {
+                assert_eq!(walk(kind, false), walk(kind, true), "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn plans_are_well_formed() {
+        for kind in KINDS {
+            let plan = kind.plan();
+            for (i, step) in plan.iter().enumerate() {
+                assert!(!plan[i + 1..].contains(step), "{kind:?} repeats {step:?}");
+            }
+            // A step outside the plan has no successor.
+            for step in Step::ALL {
+                if !plan.contains(&step) {
+                    assert_eq!(next_step(kind, step, true), None, "{kind:?}/{step:?}");
+                }
+            }
+            // Registering a binding, restoring state and finishing a
+            // spawning flow all need the process Spawn creates.
+            if let Some(spawn) = plan.iter().position(|&s| s == Step::Spawn) {
+                assert!(plan[spawn + 1..].contains(&Step::Register), "{kind:?}");
+            }
+            if let Some(restore) = plan.iter().position(|&s| s == Step::Restore) {
+                let before = &plan[..restore];
+                assert!(
+                    before.contains(&Step::Capture)
+                        || before.contains(&Step::LoadVault)
+                        || kind == MgrKind::Activate,
+                    "{kind:?} restores state it never obtained"
+                );
+            }
+        }
     }
 }

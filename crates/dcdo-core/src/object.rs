@@ -24,7 +24,9 @@
 use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
-use dcdo_sim::{Actor, ActorId, Ctx, FlowKind as TraceFlowKind, SimDuration, SimTime, SpanKind};
+use dcdo_sim::{
+    Actor, ActorId, ConfigStep, Ctx, FlowKind as TraceFlowKind, SimDuration, SimTime, SpanKind,
+};
 use dcdo_types::{
     Architecture, CallId, ComponentId, FunctionName, ImplementationType, ObjectId, VersionId,
 };
@@ -47,27 +49,6 @@ use crate::ops::{
 
 /// Interval at which delayed removals re-check thread activity.
 const IDLE_RECHECK: SimDuration = SimDuration::from_millis(50);
-
-/// Stable step codes for object-local `Config` flows (trace `FlowStep`
-/// payloads): the staged fetch pipeline, the removal gate, and the final
-/// semantic application. These are wire-stable — the profiler keys its
-/// per-step latency tables on them.
-mod cfg_step {
-    /// Reading the component descriptor from the ICO.
-    pub const DESCRIPTOR: u32 = 0;
-    /// Consulting the local host's component cache.
-    pub const HOST_CHECK: u32 = 1;
-    /// Downloading the component data from the ICO.
-    pub const ICO_READ: u32 = 2;
-    /// Writing the downloaded data into the local host cache.
-    pub const HOST_STORE: u32 = 3;
-    /// Mapping the component into the address space (timer).
-    pub const MAP: u32 = 4;
-    /// Checking the thread-activity gate (may repeat on rechecks).
-    pub const GATE: u32 = 5;
-    /// Applying the semantic configuration change.
-    pub const APPLY: u32 = 6;
-}
 
 #[derive(Debug)]
 enum FetchStage {
@@ -319,13 +300,12 @@ impl DcdoObject {
         }
     }
 
-    /// Emits a `FlowStep` span for a flow that just entered `step` (one of
-    /// the [`cfg_step`] codes).
-    fn trace_step(ctx: &mut Ctx<'_, Msg>, flow_id: u64, step: u32) {
+    /// Emits a `FlowStep` span for a flow that just entered `step`.
+    fn trace_step(ctx: &mut Ctx<'_, Msg>, flow_id: u64, step: ConfigStep) {
         if ctx.tracing_enabled() {
             ctx.emit_span(SpanKind::FlowStep {
                 flow: flow_id,
-                step,
+                step: step.code(),
             });
         }
     }
@@ -361,7 +341,7 @@ impl DcdoObject {
                         component,
                         ico: item.ico,
                     });
-                    Self::trace_step(ctx, flow_id, cfg_step::HOST_CHECK);
+                    Self::trace_step(ctx, flow_id, ConfigStep::HostCheck);
                     let call = self.rpc.control(
                         ctx,
                         self.host,
@@ -371,7 +351,7 @@ impl DcdoObject {
                 }
                 None => {
                     flow.fetching = Some(FetchStage::Descriptor { ico: item.ico });
-                    Self::trace_step(ctx, flow_id, cfg_step::DESCRIPTOR);
+                    Self::trace_step(ctx, flow_id, ConfigStep::Descriptor);
                     let call =
                         self.rpc
                             .control(ctx, item.ico, ControlOp::new(ReadComponentDescriptor));
@@ -389,7 +369,7 @@ impl DcdoObject {
         let Some(flow) = self.flows.get(&flow_id) else {
             return;
         };
-        Self::trace_step(ctx, flow_id, cfg_step::GATE);
+        Self::trace_step(ctx, flow_id, ConfigStep::Gate);
         let busy: Vec<(ComponentId, u32)> = match &flow.kind {
             FlowKind::Remove { component } => {
                 let n = self.dfm.component_active_threads(*component);
@@ -463,7 +443,7 @@ impl DcdoObject {
     /// Executes the flow's actual configuration change and replies.
     fn apply_flow_semantics(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
         let flow = self.flows.remove(&flow_id).expect("flow exists");
-        Self::trace_step(ctx, flow_id, cfg_step::APPLY);
+        Self::trace_step(ctx, flow_id, ConfigStep::Apply);
         let result: Result<(), ConfigError> = match flow.kind {
             FlowKind::Incorporate => Ok(()), // staged components were incorporated during mapping
             FlowKind::Apply { target } => {
@@ -604,7 +584,7 @@ impl DcdoObject {
                 }
                 let flow = self.flows.get_mut(&flow_id).expect("flow exists");
                 flow.fetching = Some(FetchStage::HostCheck { component, ico });
-                Self::trace_step(ctx, flow_id, cfg_step::HOST_CHECK);
+                Self::trace_step(ctx, flow_id, ConfigStep::HostCheck);
                 let call = self.rpc.control(
                     ctx,
                     self.host,
@@ -625,7 +605,7 @@ impl DcdoObject {
                         ctx.metrics().incr("dcdo.component_cache_misses");
                         let flow = self.flows.get_mut(&flow_id).expect("flow exists");
                         flow.fetching = Some(FetchStage::IcoRead { component });
-                        Self::trace_step(ctx, flow_id, cfg_step::ICO_READ);
+                        Self::trace_step(ctx, flow_id, ConfigStep::IcoRead);
                         let call = self.rpc.control(ctx, ico, ControlOp::new(ReadComponent));
                         self.rpc_routes.insert(call.as_raw(), flow_id);
                     }
@@ -651,7 +631,7 @@ impl DcdoObject {
                 };
                 let flow = self.flows.get_mut(&flow_id).expect("flow exists");
                 flow.fetching = Some(FetchStage::HostStore { binary });
-                Self::trace_step(ctx, flow_id, cfg_step::HOST_STORE);
+                Self::trace_step(ctx, flow_id, ConfigStep::HostStore);
                 let call = self.rpc.control(
                     ctx,
                     self.host,
@@ -700,7 +680,7 @@ impl DcdoObject {
         let flow = self.flows.get_mut(&flow_id).expect("flow exists");
         let _ = cached;
         flow.fetching = Some(FetchStage::MapTimer { binary });
-        Self::trace_step(ctx, flow_id, cfg_step::MAP);
+        Self::trace_step(ctx, flow_id, ConfigStep::Map);
         self.schedule_flow_timer(ctx, flow_id, delay);
     }
 

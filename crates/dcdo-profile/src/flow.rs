@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use dcdo_trace::{FlowKind, SpanId, SpanKind, TraceLog};
+use dcdo_trace::{ConfigStep, FlowKind, LifecycleStep, SpanId, SpanKind, TraceLog};
 
 /// Synthetic step code for the segment between `FlowStarted` and the first
 /// `FlowStep` (usually zero-length: both fire in the same handler).
@@ -151,36 +151,17 @@ pub fn step_breakdown(flows: &[FlowRecord]) -> Vec<StepStat> {
 /// Human name of a layer step code within its flow kind.
 ///
 /// Manager lifecycle flows (create/update/migrate/…) share the manager's
-/// step vocabulary; object-local [`FlowKind::Config`] flows use the DCDO's
-/// staged-fetch vocabulary.
+/// [`LifecycleStep`] vocabulary; object-local [`FlowKind::Config`] flows
+/// use the DCDO's staged-fetch [`ConfigStep`] vocabulary.
 pub fn step_name(kind: FlowKind, step: u32) -> &'static str {
     if step == STEP_INIT {
         return "init";
     }
-    match kind {
-        FlowKind::Config => match step {
-            0 => "descriptor",
-            1 => "host_check",
-            2 => "ico_read",
-            3 => "host_store",
-            4 => "map",
-            5 => "gate",
-            6 => "apply",
-            _ => "unknown",
-        },
-        _ => match step {
-            0 => "capture",
-            1 => "deactivate",
-            2 => "unregister",
-            3 => "spawn",
-            4 => "register",
-            5 => "apply",
-            6 => "restore",
-            7 => "save_vault",
-            8 => "load_vault",
-            _ => "unknown",
-        },
-    }
+    let name = match kind {
+        FlowKind::Config => ConfigStep::from_code(step).map(ConfigStep::name),
+        _ => LifecycleStep::from_code(step).map(LifecycleStep::name),
+    };
+    name.unwrap_or("unknown")
 }
 
 /// One row of the reconfiguration-cost table (per flow kind): the paper's

@@ -71,14 +71,15 @@ impl Workload for ReplicaGroup {
             });
         }
         // Chaos node + replicas + coordinator + client + upgrade driver.
-        if topology.nodes < self.replicas + 4 {
+        let needed = self.replicas.checked_add(4);
+        if needed.is_none_or(|needed| topology.nodes < needed) {
             return Err(ScenarioError::BadParam {
                 context: "workload replica_group".to_string(),
                 msg: format!(
                     "{} replicas need {} nodes (chaos + replicas + coordinator + client + driver) \
                      but the topology has {}",
                     self.replicas,
-                    self.replicas + 4,
+                    u64::from(self.replicas) + 4,
                     topology.nodes
                 ),
             });

@@ -127,10 +127,23 @@ impl Scenario {
             });
         }
         if let Window::Ticks(_) = self.window {
-            if self.workloads.iter().map(|s| s.weight).sum::<u64>() == 0 {
-                return Err(ScenarioError::ZeroTotalWeight {
-                    scenario: self.name.clone(),
-                });
+            let total = self
+                .workloads
+                .iter()
+                .try_fold(0u64, |sum, s| sum.checked_add(s.weight));
+            match total {
+                Some(0) => {
+                    return Err(ScenarioError::ZeroTotalWeight {
+                        scenario: self.name.clone(),
+                    })
+                }
+                None => {
+                    return Err(ScenarioError::BadParam {
+                        context: format!("scenario {:?}", self.name),
+                        msg: "the total workload weight overflows a u64".to_string(),
+                    })
+                }
+                Some(_) => {}
             }
         }
         for slot in &self.workloads {

@@ -432,3 +432,44 @@ fn fault_plan_crashing_its_own_controller_is_rejected_not_a_panic() {
         other => panic!("expected BadParam, got {other:?}"),
     }
 }
+
+#[test]
+fn replica_count_overflow_is_rejected_not_a_panic() {
+    // The group needs replicas + 4 nodes (chaos, coordinator, client and
+    // upgrade driver). At u32::MAX replicas that sum does not fit a u32:
+    // validation must refuse it, not overflow (debug) or wrap to a tiny
+    // node requirement (release). Parsed and validated only, never run.
+    for name in ["rolling_upgrade", "rolling_upgrade_coord_crash"] {
+        let text = dcdo_scenario::registry::declared_text(name)
+            .expect("declared scenario")
+            .replace("replicas=4", "replicas=4294967295");
+        let scenario = Scenario::from_text(&text).expect("the declaration parses");
+        match scenario.validate() {
+            Err(ScenarioError::BadParam { context, msg }) => {
+                assert_eq!(context, "workload replica_group");
+                assert!(
+                    msg.contains("4294967295 replicas need 4294967299 nodes"),
+                    "message names the requirement: {msg}"
+                );
+            }
+            other => panic!("{name}: expected BadParam, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn total_weight_overflow_is_rejected_not_a_panic() {
+    // Tick windows draw from the summed workload weights; a sum past
+    // u64::MAX must be refused, not overflow. Parsed and validated only.
+    let text = dcdo_scenario::registry::declared_text("mixed_traffic")
+        .expect("declared scenario")
+        .replace("weight=5 ", "weight=18446744073709551615 ");
+    let scenario = Scenario::from_text(&text).expect("the declaration parses");
+    match scenario.validate() {
+        Err(ScenarioError::BadParam { context, msg }) => {
+            assert_eq!(context, "scenario \"mixed_traffic\"");
+            assert!(msg.contains("overflows"), "{msg}");
+        }
+        other => panic!("expected BadParam, got {other:?}"),
+    }
+}

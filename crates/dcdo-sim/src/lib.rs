@@ -78,8 +78,8 @@ pub use dcdo_trace::{tail_sample, FlightDump, FlightFrame, FlightRecorder, Retai
 // layers above the engine can emit spans through [`Ctx`] without depending
 // on the tracing crate directly.
 pub use dcdo_trace::{
-    check as check_trace_invariants, fn_hash, FlowKind, RpcOutcome, SendVerdict, SpanEvent, SpanId,
-    SpanKind, TraceLog, Violation, NO_NODE,
+    check as check_trace_invariants, fn_hash, ConfigStep, FlowKind, LifecycleStep, RpcOutcome,
+    SendVerdict, SpanEvent, SpanId, SpanKind, TraceLog, Violation, NO_NODE,
 };
 
 /// Does nothing: the engine is sequential.

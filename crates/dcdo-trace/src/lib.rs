@@ -41,4 +41,7 @@ pub use flight::{
     tail_sample, FlightDump, FlightFrame, FlightRecorder, RetainedFlow, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use log::{fn_hash, TraceLog};
-pub use span::{FlowKind, RpcOutcome, SendVerdict, SpanEvent, SpanId, SpanKind, NO_NODE};
+pub use span::{
+    ConfigStep, FlowKind, LifecycleStep, RpcOutcome, SendVerdict, SpanEvent, SpanId, SpanKind,
+    NO_NODE,
+};

@@ -166,6 +166,128 @@ impl FlowKind {
     }
 }
 
+/// A step of a DCDO Manager lifecycle flow: the `FlowStep` vocabulary of
+/// every [`FlowKind`] except `Config`. Codes are wire-stable — the
+/// profiler keys its per-step latency tables on them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LifecycleStep {
+    /// Capturing the instance's state.
+    Capture = 0,
+    /// Stopping the instance's process.
+    Deactivate = 1,
+    /// Removing the instance's binding.
+    Unregister = 2,
+    /// Creating a process for the instance (timer).
+    Spawn = 3,
+    /// Registering the instance's binding.
+    Register = 4,
+    /// Applying the flow version's DFM descriptor.
+    Apply = 5,
+    /// Restoring the instance's state.
+    Restore = 6,
+    /// Persisting the captured state in the vault.
+    SaveVault = 7,
+    /// Loading the instance's snapshot from the vault.
+    LoadVault = 8,
+}
+
+impl LifecycleStep {
+    /// Every step, indexed by its code.
+    pub const ALL: [LifecycleStep; 9] = [
+        LifecycleStep::Capture,
+        LifecycleStep::Deactivate,
+        LifecycleStep::Unregister,
+        LifecycleStep::Spawn,
+        LifecycleStep::Register,
+        LifecycleStep::Apply,
+        LifecycleStep::Restore,
+        LifecycleStep::SaveVault,
+        LifecycleStep::LoadVault,
+    ];
+
+    /// The stable code carried by `FlowStep`.
+    pub const fn code(self) -> u32 {
+        self as u32
+    }
+
+    /// The step with `code`, if any.
+    pub fn from_code(code: u32) -> Option<Self> {
+        Self::ALL.get(code as usize).copied()
+    }
+
+    /// A stable short name.
+    pub const fn name(self) -> &'static str {
+        match self {
+            LifecycleStep::Capture => "capture",
+            LifecycleStep::Deactivate => "deactivate",
+            LifecycleStep::Unregister => "unregister",
+            LifecycleStep::Spawn => "spawn",
+            LifecycleStep::Register => "register",
+            LifecycleStep::Apply => "apply",
+            LifecycleStep::Restore => "restore",
+            LifecycleStep::SaveVault => "save_vault",
+            LifecycleStep::LoadVault => "load_vault",
+        }
+    }
+}
+
+/// A step of an object-local [`FlowKind::Config`] flow: the staged fetch
+/// pipeline, the removal gate, and the final semantic application. Codes
+/// are wire-stable, like [`LifecycleStep`]'s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigStep {
+    /// Reading the component descriptor from the ICO.
+    Descriptor = 0,
+    /// Consulting the local host's component cache.
+    HostCheck = 1,
+    /// Downloading the component data from the ICO.
+    IcoRead = 2,
+    /// Writing the downloaded data into the local host cache.
+    HostStore = 3,
+    /// Mapping the component into the address space (timer).
+    Map = 4,
+    /// Checking the thread-activity gate (may repeat on rechecks).
+    Gate = 5,
+    /// Applying the semantic configuration change.
+    Apply = 6,
+}
+
+impl ConfigStep {
+    /// Every step, indexed by its code.
+    pub const ALL: [ConfigStep; 7] = [
+        ConfigStep::Descriptor,
+        ConfigStep::HostCheck,
+        ConfigStep::IcoRead,
+        ConfigStep::HostStore,
+        ConfigStep::Map,
+        ConfigStep::Gate,
+        ConfigStep::Apply,
+    ];
+
+    /// The stable code carried by `FlowStep`.
+    pub const fn code(self) -> u32 {
+        self as u32
+    }
+
+    /// The step with `code`, if any.
+    pub fn from_code(code: u32) -> Option<Self> {
+        Self::ALL.get(code as usize).copied()
+    }
+
+    /// A stable short name.
+    pub const fn name(self) -> &'static str {
+        match self {
+            ConfigStep::Descriptor => "descriptor",
+            ConfigStep::HostCheck => "host_check",
+            ConfigStep::IcoRead => "ico_read",
+            ConfigStep::HostStore => "host_store",
+            ConfigStep::Map => "map",
+            ConfigStep::Gate => "gate",
+            ConfigStep::Apply => "apply",
+        }
+    }
+}
+
 /// The typed payload of one span event.
 ///
 /// Identifiers are raw integers: `u32` for engine-level actors and nodes,
@@ -685,4 +807,23 @@ pub struct SpanEvent {
     pub node: u32,
     /// The typed payload.
     pub kind: SpanKind,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn step_codes_are_dense_and_round_trip() {
+        for (i, step) in LifecycleStep::ALL.into_iter().enumerate() {
+            assert_eq!(step.code() as usize, i);
+            assert_eq!(LifecycleStep::from_code(step.code()), Some(step));
+        }
+        for (i, step) in ConfigStep::ALL.into_iter().enumerate() {
+            assert_eq!(step.code() as usize, i);
+            assert_eq!(ConfigStep::from_code(step.code()), Some(step));
+        }
+        assert_eq!(LifecycleStep::from_code(9), None);
+        assert_eq!(ConfigStep::from_code(7), None);
+    }
 }
